@@ -210,9 +210,9 @@ fn main() {
         (words.len() - 1) as f64 / 1e6 / start.elapsed().as_secs_f64()
     });
     // The analyzer's crosstalk-storm worst case: a 90 %-aggression
-    // adversarial stream keeps the opposing-neighbour residual path hot
-    // on nearly every cycle, so this leg tracks what the analyzer's
-    // cycle cache and per-wire fold memo buy on hostile traffic.
+    // adversarial stream keeps the opposing-neighbour folds hot on
+    // nearly every cycle, so this leg tracks what the analyzer's
+    // whole-cycle cache buys on hostile traffic.
     let analyze_storm = best_of_3(&mut || {
         let mut trace = AdversarialCrosstalk::new(REPRO_SEED, 0.9);
         let words = trace.take_words(65_536);

@@ -358,8 +358,8 @@ impl CompiledTrace {
     /// Phase two of the parallel compile: classifies the `len` cycles
     /// starting at `start` against `design`'s bus. Pure in
     /// `(design, words, start, len)` — safe to run chunks in any order
-    /// on any thread. Each chunk gets its own residual-fold memo
-    /// (results are memo-invariant, so chunk boundaries cannot show).
+    /// on any thread. Each chunk gets its own whole-cycle cache
+    /// (results are cache-invariant, so chunk boundaries cannot show).
     ///
     /// # Panics
     ///

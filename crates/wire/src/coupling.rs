@@ -161,10 +161,12 @@ impl CouplingModel {
     #[inline]
     #[must_use]
     pub fn misalignment(&self, h: f64) -> f64 {
+        // Both arms are computed so the choice is a select, not a branch.
+        let spread = (h - self.alignment_atom) / (1.0 - self.alignment_atom).max(1e-12);
         if h < self.alignment_atom {
             0.0
         } else {
-            (h - self.alignment_atom) / (1.0 - self.alignment_atom).max(1e-12)
+            spread
         }
     }
 

@@ -88,98 +88,59 @@ pub struct BusPhysical {
     droop: DroopModel,
     /// Flattened neighbor tables for the hot loop.
     slots: Vec<[Slot; 4]>,
-    /// Per-wire bitmask of signal-neighbor indices: when
-    /// `toggled & sig_mask[i] == 0`, every neighbor of wire `i` is quiet
-    /// this cycle and the slot loop's result is exactly the precomputed
-    /// static sums below.
-    sig_mask: Vec<u32>,
-    /// Slot-ordered Σ scale·miller_static over non-open slots — the
-    /// delay weight of a wire whose whole neighborhood is quiet.
-    quiet_delay: Vec<f64>,
-    /// Slot-ordered Σ scale over non-open slots — the energy weight of a
-    /// wire whose whole neighborhood is quiet.
-    quiet_energy: Vec<f64>,
     /// Per-wire neighborhood LUT: the slot loop, precompiled to one
     /// lookup per toggling wire (plus an exact alignment fold only when
-    /// an opposing aggressor could beat the running worst).
+    /// an opposing aggressor could beat the worst load).
     lut: NeighborhoodLut,
 }
 
-/// Builds the quiet-neighborhood fast-path tables. The sums are
-/// accumulated in slot order so they are bit-identical to what the full
-/// slot loop produces when no signal neighbor toggles.
-fn quiet_tables(
-    slots: &[[Slot; 4]],
-    parasitics: &WireParasitics,
-    coupling: &CouplingModel,
-) -> (Vec<u32>, Vec<f64>, Vec<f64>) {
-    let cc = parasitics.cc_per_mm().ff();
-    let cc2 = parasitics.cc2_per_mm().ff();
-    let mut sig_mask = Vec::with_capacity(slots.len());
-    let mut quiet_delay = Vec::with_capacity(slots.len());
-    let mut quiet_energy = Vec::with_capacity(slots.len());
-    for wire_slots in slots {
-        let mut mask = 0u32;
-        let mut k_delay = 0.0;
-        let mut k_energy = 0.0;
-        for (idx, slot) in wire_slots.iter().enumerate() {
-            let scale = if idx < 2 { cc } else { cc2 };
-            match *slot {
-                Slot::Open => {}
-                Slot::Shield => {
-                    k_delay += scale * coupling.miller_static;
-                    k_energy += scale;
-                }
-                Slot::Signal(j) => {
-                    mask |= 1u32 << j;
-                    k_delay += scale * coupling.miller_static;
-                    k_energy += scale;
-                }
-            }
-        }
-        sig_mask.push(mask);
-        quiet_delay.push(k_delay);
-        quiet_energy.push(k_energy);
-    }
-    (sig_mask, quiet_delay, quiet_energy)
-}
-
-/// One precompiled neighborhood pattern of one wire: everything the slot
-/// loop would compute for this (own direction, per-signal-neighbor
-/// toggled/direction) combination, folded at table-build time in slot
-/// order so the sums are bit-identical to running the loop.
+/// The first pass's view of one precompiled neighborhood pattern of one
+/// wire: everything the slot loop would compute for this (own
+/// direction, per-signal-neighbor toggled/direction) combination,
+/// folded at table-build time in slot order so the sums are
+/// bit-identical to running the loop. Kept apart from the fold terms
+/// ([`EntryFold`]) so the table the first pass reads stays small enough
+/// to live in cache.
 #[derive(Debug, Clone, Copy)]
-struct LutEntry {
-    /// `cg + k_delay` of this pattern with every opposing aggressor at
-    /// perfect alignment (`u = 0`). When `opp_mask == 0` this *is* the
-    /// wire's exact load; otherwise it is an upper bound (alignment only
-    /// ever reduces the opposing weight), used to skip the exact fold
-    /// when the wire cannot beat the running worst.
-    ceff: f64,
+struct EntryLoads {
+    /// `cg + k_delay` when the pattern has no opposing aggressor — the
+    /// wire's exact load — else +0.0.
+    exact: f64,
+    /// `cg + k_delay` with every opposing aggressor at perfect alignment
+    /// (`u = 0`) when the pattern has one, else +0.0: an upper bound on
+    /// the wire's load (alignment only ever reduces the opposing weight),
+    /// used to skip the exact fold when the wire cannot beat the worst.
+    bound: f64,
     /// `cg + k_energy` — never alignment-dependent, always exact.
     switched: f64,
+}
+
+/// The residual alignment fold's view of the same pattern.
+#[derive(Debug, Clone, Copy)]
+struct EntryFold {
     /// Slot-ordered delay terms of the non-open slots: the constant
     /// contribution for quiet/aligned/shield slots, `opp_w[side]` for
     /// opposing slots (to be scaled by the per-cycle alignment draw).
+    /// Zero-padded to four: a padding term adds an exact +0.0.
     terms: [f64; 4],
     /// Bitmask over `terms`: which are opposing (alignment-dependent).
     opp_mask: u8,
 }
 
-/// Per-wire constants of the neighborhood LUT: how to gather the key
-/// bits and which physical slots the entry terms correspond to.
+/// Per-wire constants of the neighborhood LUT: how to gather the entry
+/// index and which physical slots the entry terms correspond to.
 #[derive(Debug, Clone, Copy)]
 struct LutWire {
-    /// Start of this wire's entry block in [`NeighborhoodLut::entries`].
-    offset: u32,
-    /// Bit indices of the signal-neighbor slots, in slot order.
-    sig_bits: [u8; 4],
-    /// Number of signal-neighbor slots (key width = `1 + 2 * n_sig`).
-    n_sig: u8,
+    /// Entry-index part of the toggled bits at `i-2..=i+2` (the 5-bit
+    /// window, bit `i-2` lowest): each signal neighbor's toggled bit
+    /// moved to its key position.
+    toggled_key: [u16; 32],
+    /// Entry-index part of the current-word bits in the same window:
+    /// this wire's entry-block offset plus its own direction bit and
+    /// each signal neighbor's direction bit at its key position.
+    dir_key: [u16; 32],
     /// Original slot index of each term (for the alignment hash).
     term_slots: [u8; 4],
-    /// Number of non-open slots (= number of terms per entry).
-    n_terms: u8,
 }
 
 /// The per-wire neighborhood look-up table behind
@@ -191,13 +152,21 @@ struct LutWire {
 #[derive(Debug, Clone)]
 struct NeighborhoodLut {
     wires: Vec<LutWire>,
-    entries: Vec<LutEntry>,
+    loads: Vec<EntryLoads>,
+    folds: Vec<EntryFold>,
 }
 
 /// Builds the neighborhood LUT. Every arithmetic expression mirrors the
 /// reference slot loop ([`BusPhysical::analyze_cycle_reference`])
 /// operand-for-operand, so each entry's folded sums are bit-identical to
-/// what the loop would produce for that pattern.
+/// what the loop would produce for that pattern — the all-quiet entry
+/// included.
+///
+/// # Panics
+///
+/// Panics if a signal neighbor sits more than two bits away from its
+/// wire (the window gather reads bits `i-2..=i+2` only), or if the
+/// entries outgrow the `u16` gather tables.
 fn build_lut(
     slots: &[[Slot; 4]],
     parasitics: &WireParasitics,
@@ -213,28 +182,61 @@ fn build_lut(
     let energy_2w = [cc * 2.0, cc2 * 2.0];
 
     let mut wires = Vec::with_capacity(slots.len());
-    let mut entries = Vec::new();
-    for wire_slots in slots {
-        let mut sig_bits = [0u8; 4];
-        let mut n_sig = 0u8;
+    // Sized exactly up front: growing the tables push by push measurably
+    // slowed bus construction (every design build pays it).
+    let n_entries: usize = slots
+        .iter()
+        .map(|wire_slots| {
+            let n_sig = wire_slots
+                .iter()
+                .filter(|slot| matches!(slot, Slot::Signal(_)))
+                .count();
+            1 << (1 + 2 * n_sig)
+        })
+        .sum();
+    let mut loads = Vec::with_capacity(n_entries);
+    let mut folds = Vec::with_capacity(n_entries);
+    for (i, wire_slots) in slots.iter().enumerate() {
+        // Window position (bit `i-2` = 0) of each signal-neighbor slot,
+        // in slot order.
+        let mut sig_pos = [0usize; 4];
+        let mut n_sig = 0usize;
         let mut term_slots = [0u8; 4];
-        let mut n_terms = 0u8;
+        let mut n_terms = 0usize;
         for (idx, slot) in wire_slots.iter().enumerate() {
             match *slot {
                 Slot::Open => {}
                 Slot::Shield => {
-                    term_slots[n_terms as usize] = idx as u8;
+                    term_slots[n_terms] = idx as u8;
                     n_terms += 1;
                 }
                 Slot::Signal(j) => {
-                    sig_bits[n_sig as usize] = j;
+                    sig_pos[n_sig] = (usize::from(j) + 2)
+                        .checked_sub(i)
+                        .filter(|&pos| pos <= 4 && pos != 2)
+                        .unwrap_or_else(|| {
+                            panic!("wire {i}: signal neighbor {j} lies outside the ±2-bit window")
+                        });
                     n_sig += 1;
-                    term_slots[n_terms as usize] = idx as u8;
+                    term_slots[n_terms] = idx as u8;
                     n_terms += 1;
                 }
             }
         }
-        let offset = entries.len() as u32;
+        let offset = loads.len();
+        let mut toggled_key = [0u16; 32];
+        let mut dir_key = [0u16; 32];
+        for window in 0..32usize {
+            let mut t = 0usize;
+            let mut d = (window >> 2) & 1;
+            for (p, &pos) in sig_pos[..n_sig].iter().enumerate() {
+                t |= ((window >> pos) & 1) << (1 + 2 * p);
+                d |= ((window >> pos) & 1) << (2 + 2 * p);
+            }
+            toggled_key[window] = u16::try_from(t).expect("key fits in 9 bits");
+            dir_key[window] =
+                u16::try_from(offset + d).expect("neighborhood LUT fits u16 entry indices");
+        }
         for key in 0..1usize << (1 + 2 * n_sig) {
             let rising = key & 1 == 1;
             let mut k_delay = 0.0f64;
@@ -278,22 +280,30 @@ fn build_lut(
                     }
                 }
             }
-            entries.push(LutEntry {
-                ceff: cg + k_delay,
+            let ceff = cg + k_delay;
+            let (exact, bound) = if opp_mask == 0 {
+                (ceff, 0.0)
+            } else {
+                (0.0, ceff)
+            };
+            loads.push(EntryLoads {
+                exact,
+                bound,
                 switched: cg + k_energy,
-                terms,
-                opp_mask,
             });
+            folds.push(EntryFold { terms, opp_mask });
         }
         wires.push(LutWire {
-            offset,
-            sig_bits,
-            n_sig,
+            toggled_key,
+            dir_key,
             term_slots,
-            n_terms,
         });
     }
-    NeighborhoodLut { wires, entries }
+    NeighborhoodLut {
+        wires,
+        loads,
+        folds,
+    }
 }
 
 impl BusPhysical {
@@ -345,7 +355,6 @@ impl BusPhysical {
                 ]
             })
             .collect();
-        let (sig_mask, quiet_delay, quiet_energy) = quiet_tables(&slots, &parasitics, &coupling);
         let lut = build_lut(&slots, &parasitics, &coupling);
         Ok(Self {
             layout,
@@ -357,9 +366,6 @@ impl BusPhysical {
             design_corner,
             droop,
             slots,
-            sig_mask,
-            quiet_delay,
-            quiet_energy,
             lut,
         })
     }
@@ -402,18 +408,13 @@ impl BusPhysical {
     pub fn with_boosted_coupling(&self, ratio_boost: f64) -> Self {
         let (k1w, k2w) = worst_weights(&self.layout, &self.coupling);
         let parasitics = self.parasitics.boost_coupling_ratio(ratio_boost, k1w, k2w);
-        // The coupling caps changed, so the quiet-path tables and the
-        // neighborhood LUT must be rebuilt from the new parasitics.
-        let (sig_mask, quiet_delay, quiet_energy) =
-            quiet_tables(&self.slots, &parasitics, &self.coupling);
+        // The coupling caps changed, so the neighborhood LUT must be
+        // rebuilt from the new parasitics.
         let lut = build_lut(&self.slots, &parasitics, &self.coupling);
         Self {
             parasitics,
             slots: self.slots.clone(),
             layout: self.layout.clone(),
-            sig_mask,
-            quiet_delay,
-            quiet_energy,
             lut,
             ..self.clone()
         }
@@ -627,96 +628,71 @@ impl BusPhysical {
     /// capacitance and toggle count.
     ///
     /// The slot loop is precompiled into a per-wire neighborhood LUT:
-    /// each toggling wire's delay/energy sums are one table lookup keyed
-    /// on its ≤9 local bits. Wires with opposing aggressors run their
-    /// exact alignment fold only while the entry's perfect-alignment
-    /// upper bound beats the running worst — a skipped fold cannot
-    /// change the max. Bit-identical to
+    /// each toggling wire's delay/energy sums are one table lookup whose
+    /// index two per-wire gather tables read straight off the 5-bit
+    /// toggled and direction windows around the wire. A first pass,
+    /// written without data-dependent branches, adds up the switched
+    /// capacitance, takes the max over entries with no opposing
+    /// aggressor and lists the rest as candidates with their
+    /// perfect-alignment upper bounds. A second
+    /// pass runs the exact alignment fold for the candidate with the
+    /// largest bound first, then only for candidates whose bound still
+    /// beats the worst load — a skipped fold is ≤ its bound ≤ worst, so
+    /// it cannot change the max. Bit-identical to
     /// [`BusPhysical::analyze_cycle_reference`] by construction — each
-    /// entry stores the same slot-ordered f64 sums, each fold replays
-    /// the slot-ordered term sequence exactly, and the f64 max over
+    /// entry stores the same slot-ordered f64 sums, the switched sum is
+    /// accumulated in ascending wire order, each fold replays the
+    /// slot-ordered term sequence exactly, and the f64 max over
     /// per-wire loads is order-independent — pinned by unit and
     /// property tests.
     #[must_use]
     pub fn analyze_cycle(&self, prev: u32, cur: u32) -> CycleAnalysis {
-        self.analyze_cycle_memo(prev, cur, None)
-    }
-
-    /// A reusable analysis context over this bus: same classification as
-    /// [`BusPhysical::analyze_cycle`], behind a whole-cycle result cache
-    /// plus a per-wire memo over the residual alignment folds.
-    /// Opposing-dense traffic (crosstalk storms) cycles through a small
-    /// set of worst patterns, so both levels are exact-key lookups that
-    /// return the previously computed bits verbatim.
-    #[must_use]
-    pub fn analyzer(&self) -> CycleAnalyzer<'_> {
-        CycleAnalyzer::new(self)
-    }
-
-    fn analyze_cycle_memo(
-        &self,
-        prev: u32,
-        cur: u32,
-        memo: Option<&mut FoldMemo>,
-    ) -> CycleAnalysis {
         let toggled = (prev ^ cur) & word_mask(self.layout.n_bits());
         if toggled == 0 {
             return CycleAnalysis::default();
         }
 
-        let cg = self.parasitics.cg_per_mm().ff();
+        // Bit `i - 2` of a word lands on bit 0 of `(word << 2) >> i`, so
+        // masking with 31 reads the window `i-2..=i+2` for every wire —
+        // edge windows simply see zeros past the bus.
+        let toggled_win = u64::from(toggled) << 2;
+        let cur_win = u64::from(cur) << 2;
 
         let mut worst: f64 = 0.0;
         let mut switched: f64 = 0.0;
-        let mut count: u32 = 0;
+        // Opposing candidates as `entry << 5 | wire`; `top` is the one
+        // with the largest bound.
+        let mut cands = [0u32; 32];
+        let mut n_cands = 0usize;
+        let mut top = 0usize;
+        let mut top_bound: f64 = 0.0;
 
-        // One pass, ascending wire order: accumulate switched
-        // capacitance (f64 addition order is part of the bit-identity
-        // contract), take the max over quiet-path and exact (no
-        // opposing aggressor) entries, and run the residual alignment
-        // fold only for entries whose perfect-alignment bound still
-        // beats the running worst — a skipped fold is ≤ its bound ≤
-        // worst, so it cannot change the max. (A sort- or
-        // selection-based deferral of the folds measures *slower* than
-        // this running-max prune on both storm and random traffic: the
-        // candidate bookkeeping costs more than the handful of folds it
-        // saves. Storm repeats are instead killed one level up, by
-        // [`CycleAnalyzer`]'s whole-cycle cache.)
-        let mut memo = memo;
         let mut bits = toggled;
         while bits != 0 {
             let i = bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            count += 1;
-
-            if toggled & self.sig_mask[i] == 0 {
-                // Quiet neighborhood: every neighbor contributes its
-                // static Miller weight, precomputed in slot order — no
-                // key gather, no entry load.
-                let ceff = cg + self.quiet_delay[i];
-                if ceff > worst {
-                    worst = ceff;
-                }
-                switched += cg + self.quiet_energy[i];
-                continue;
-            }
-
-            let idx = self.entry_index(toggled, cur, i);
-            let e = &self.lut.entries[idx];
+            let w = &self.lut.wires[i];
+            let idx = usize::from(w.toggled_key[((toggled_win >> i) & 31) as usize])
+                + usize::from(w.dir_key[((cur_win >> i) & 31) as usize]);
+            let e = &self.lut.loads[idx];
+            // f64 addition order is part of the bit-identity contract.
             switched += e.switched;
-            if e.opp_mask == 0 {
-                // No opposing aggressor: the entry is the exact
-                // slot-ordered fold.
-                if e.ceff > worst {
-                    worst = e.ceff;
-                }
-            } else if e.ceff > worst {
-                let ceff = match memo.as_deref_mut() {
-                    Some(memo) => memo.fold(self, prev, cur, i, idx),
-                    None => self.fold_entry(prev, cur, i, idx),
-                };
-                if ceff > worst {
-                    worst = ceff;
+            // An entry is either exact or a candidate; its other field is
+            // +0.0, which never wins a max. Every wire is written to the
+            // candidate list, but only candidates advance it.
+            worst = worst.max(e.exact);
+            cands[n_cands] = (idx as u32) << 5 | i as u32;
+            top = if e.bound > top_bound { n_cands } else { top };
+            top_bound = top_bound.max(e.bound);
+            n_cands += usize::from(e.bound > 0.0);
+        }
+
+        if n_cands > 0 {
+            cands.swap(0, top);
+            for (k, &c) in cands[..n_cands].iter().enumerate() {
+                let (i, idx) = ((c & 31) as usize, (c >> 5) as usize);
+                if k == 0 || self.lut.loads[idx].bound > worst {
+                    worst = worst.max(self.fold_entry(prev, cur, i, idx));
                 }
             }
         }
@@ -724,58 +700,53 @@ impl BusPhysical {
         CycleAnalysis {
             worst_ceff_per_mm: worst,
             switched_cap_per_mm: switched,
-            toggled_wires: count,
+            toggled_wires: toggled.count_ones(),
         }
     }
 
-    /// LUT entry index for toggling wire `i` under this cycle's words:
-    /// own direction bit plus (toggled, direction) for each signal
-    /// neighbor.
-    #[inline]
-    fn entry_index(&self, toggled: u32, cur: u32, i: usize) -> usize {
-        let w = &self.lut.wires[i];
-        let mut key = ((cur >> i) & 1) as usize;
-        for p in 0..w.n_sig as usize {
-            let j = w.sig_bits[p] as usize;
-            key |= (((toggled >> j) & 1) as usize) << (1 + 2 * p);
-            key |= (((cur >> j) & 1) as usize) << (2 + 2 * p);
-        }
-        w.offset as usize + key
+    /// A reusable analysis context over this bus: same classification as
+    /// [`BusPhysical::analyze_cycle`], behind a whole-cycle result cache.
+    /// Opposing-dense traffic (crosstalk storms) cycles through a small
+    /// set of worst patterns, so the cache is an exact-key lookup that
+    /// returns the previously computed bits verbatim.
+    #[must_use]
+    pub fn analyzer(&self) -> CycleAnalyzer<'_> {
+        CycleAnalyzer::new(self)
     }
 
-    /// Exact effective load of toggling wire `i`: replays the LUT
-    /// entry's slot-ordered term sequence with the alignment hash
-    /// evaluated for each opposing aggressor. `entry` must be
-    /// `entry_index(toggled, cur, i)` — the caller always has it in
-    /// hand — so the fold stays a pure function of `(prev, cur, i)`,
-    /// which is what lets [`FoldMemo`] key on the words alone.
+    /// Exact effective load of toggling wire `i`: replays LUT entry
+    /// `entry`'s slot-ordered term sequence with the alignment hash
+    /// evaluated for each opposing aggressor. All four terms go through
+    /// the same straight-line body: a non-opposing term is scaled by an
+    /// exact 1.0 and a padding term is +0.0, so neither changes a bit.
     #[inline]
     fn fold_entry(&self, prev: u32, cur: u32, i: usize, entry: usize) -> f64 {
         let w = &self.lut.wires[i];
-        let e = &self.lut.entries[entry];
+        let e = &self.lut.folds[entry];
         let m = &self.coupling;
         let mut k = 0.0f64;
-        for (t, &v) in e.terms[..w.n_terms as usize].iter().enumerate() {
-            if e.opp_mask & (1 << t) != 0 {
-                let u = m.misalignment(crate::coupling::alignment_unit(
-                    prev,
-                    cur,
-                    i,
-                    w.term_slots[t] as usize,
-                ));
-                k += v * (1.0 - m.alignment_spread * u);
+        for (t, (&v, &slot)) in e.terms.iter().zip(&w.term_slots).enumerate() {
+            let u = m.misalignment(crate::coupling::alignment_unit(
+                prev,
+                cur,
+                i,
+                usize::from(slot),
+            ));
+            let scale = if e.opp_mask & (1 << t) != 0 {
+                1.0 - m.alignment_spread * u
             } else {
-                k += v;
-            }
+                1.0
+            };
+            k += v * scale;
         }
         self.parasitics.cg_per_mm().ff() + k
     }
 
     /// The reference implementation of [`BusPhysical::analyze_cycle`]:
-    /// the full per-slot classification loop with no precomputed tables,
-    /// no quiet fast path and no LUT. Slower, but trivially auditable —
-    /// kept so differential and property tests can pin the LUT-backed
-    /// hot path to it bitwise on every pattern.
+    /// the full per-slot classification loop with no precomputed tables
+    /// and no LUT. Slower, but trivially auditable — kept so
+    /// differential and property tests can pin the LUT-backed hot path
+    /// to it bitwise on every pattern.
     #[must_use]
     pub fn analyze_cycle_reference(&self, prev: u32, cur: u32) -> CycleAnalysis {
         let toggled = (prev ^ cur) & word_mask(self.layout.n_bits());
@@ -885,62 +856,6 @@ impl BusPhysical {
     }
 }
 
-/// Direct-mapped ways per wire in the residual-fold memo. Storm traffic
-/// alternates between a handful of worst patterns per wire, so a few
-/// ways catch nearly all repeats without the memo outgrowing L1.
-const MEMO_WAYS: usize = 8;
-
-/// One memo slot: the folded effective load of one wire under one
-/// `(prev, cur)` word pair. `prev == cur` marks an empty slot — equal
-/// words toggle nothing, so no fold query can ever present that key.
-#[derive(Clone, Copy)]
-struct MemoSlot {
-    prev: u32,
-    cur: u32,
-    ceff: f64,
-}
-
-/// Exact-keyed cache over the residual fold (`fold_entry`). Keys are
-/// the full `(prev, cur)` words per wire — the fold is a pure function
-/// of exactly those — so a hit returns the identical f64 bits the fold
-/// would produce, never an approximation.
-struct FoldMemo {
-    slots: Vec<MemoSlot>,
-}
-
-impl FoldMemo {
-    fn new(n_wires: usize) -> Self {
-        Self {
-            slots: vec![
-                MemoSlot {
-                    prev: 0,
-                    cur: 0,
-                    ceff: 0.0,
-                };
-                n_wires * MEMO_WAYS
-            ],
-        }
-    }
-
-    /// Which of the wire's ways a word pair maps to.
-    #[inline]
-    fn way(prev: u32, cur: u32) -> usize {
-        let h = (prev ^ cur.rotate_left(16)).wrapping_mul(0x9E37_79B1);
-        (h >> 29) as usize
-    }
-
-    #[inline]
-    fn fold(&mut self, bus: &BusPhysical, prev: u32, cur: u32, i: usize, entry: usize) -> f64 {
-        let slot = &mut self.slots[i * MEMO_WAYS + Self::way(prev, cur)];
-        if slot.prev == prev && slot.cur == cur {
-            return slot.ceff;
-        }
-        let ceff = bus.fold_entry(prev, cur, i, entry);
-        *slot = MemoSlot { prev, cur, ceff };
-        ceff
-    }
-}
-
 /// Slots in the analyzer's cycle-level cache (direct-mapped, 32 bytes
 /// each — 8 KiB total). Storm and burst generators emit a handful of
 /// distinct word pairs by construction, so a tiny cache catches nearly
@@ -958,19 +873,16 @@ struct CycleSlot {
 }
 
 /// A per-thread cycle-analysis context: [`BusPhysical::analyze_cycle`]
-/// behind a two-level exact-keyed memo. Level 1 caches whole
-/// [`CycleAnalysis`] results per `(prev, cur)` word pair — the
-/// classification is a pure function of exactly that pair — so
-/// pattern-repeating traffic (crosstalk storms alternate between two
-/// worst-case words) collapses to one probe per cycle. Level 2, the
-/// residual-fold memo (`FoldMemo`), catches per-wire fold repeats on
-/// cycles that miss level 1. Create one per compile/summary loop via
-/// [`BusPhysical::analyzer`] and feed it consecutive cycles; results
-/// are bit-identical to the memo-free path at every cycle (both keys
-/// are exact), pinned by differential tests.
+/// behind an exact-keyed cache of whole [`CycleAnalysis`] results per
+/// `(prev, cur)` word pair — the classification is a pure function of
+/// exactly that pair — so pattern-repeating traffic (crosstalk storms
+/// alternate between two worst-case words) collapses to one probe per
+/// cycle. Create one per compile/summary loop via
+/// [`BusPhysical::analyzer`] and feed it consecutive cycles; results are
+/// bit-identical to the cache-free path at every cycle (the key is
+/// exact), pinned by differential tests.
 pub struct CycleAnalyzer<'a> {
     bus: &'a BusPhysical,
-    memo: FoldMemo,
     cycles: Vec<CycleSlot>,
 }
 
@@ -978,7 +890,6 @@ impl<'a> CycleAnalyzer<'a> {
     fn new(bus: &'a BusPhysical) -> Self {
         Self {
             bus,
-            memo: FoldMemo::new(bus.layout.n_bits()),
             cycles: vec![
                 CycleSlot {
                     prev: 0,
@@ -1002,7 +913,7 @@ impl<'a> CycleAnalyzer<'a> {
         if slot.prev == prev && slot.cur == cur {
             return slot.result;
         }
-        let result = self.bus.analyze_cycle_memo(prev, cur, Some(&mut self.memo));
+        let result = self.bus.analyze_cycle(prev, cur);
         *slot = CycleSlot { prev, cur, result };
         result
     }
@@ -1199,8 +1110,8 @@ mod tests {
         // per_wire_effective_caps and analyze_cycle_reference keep the
         // original full slot loop, so the LUT-backed hot path must
         // reproduce their results *bitwise* on every pattern — isolated
-        // toggles (quiet fast path), dense toggles (LUT + alignment
-        // fold), and mixtures, on both the paper bus and the
+        // toggles (all-quiet entries), dense toggles (candidates and
+        // alignment folds), and mixtures, on both the paper bus and the
         // boosted-coupling variant (whose tables are rebuilt).
         for b in [bus(), bus().with_boosted_coupling(1.95)] {
             let mut x = 0x1234_5678_9ABC_DEFFu64;
@@ -1236,12 +1147,12 @@ mod tests {
 
     #[test]
     fn analyzer_memo_matches_memo_free_path_bitwise() {
-        // The residual-fold memo must be invisible in the results: its
-        // key is the exact (prev, cur) word pair per wire, so a hit
-        // returns the identical f64 bits the fold would produce. Drive
+        // The analyzer's whole-cycle cache must be invisible in the
+        // results: its key is the exact (prev, cur) word pair, so a hit
+        // returns the identical bits analyze_cycle would produce. Drive
         // storm (alternating opposing phases, high hit rate), dense
         // random, and random-walk sequences through a long-lived
-        // analyzer and require bitwise equality with the memo-free
+        // analyzer and require bitwise equality with the cache-free
         // path at every cycle, on both table variants.
         for b in [bus(), bus().with_boosted_coupling(1.95)] {
             let mut analyzer = b.analyzer();
@@ -1251,8 +1162,9 @@ mod tests {
                 x = x
                     .wrapping_mul(6_364_136_223_846_793_005)
                     .wrapping_add(1_442_695_040_888_963_407);
-                let cur = match step % 3 {
-                    0 => !prev,                                   // storm: every pair opposes
+                let phase = (step / 50) % 3;
+                let cur = match phase {
+                    0 => !prev,                                   // storm: two words alternate
                     1 => (x >> 32) as u32,                        // dense random
                     _ => prev ^ ((x >> 32) as u32 & 0x8421_8421), // random walk
                 };
@@ -1261,6 +1173,17 @@ mod tests {
                     b.analyze_cycle(prev, cur),
                     "step {step}"
                 );
+                if phase == 0 && step % 50 == 49 {
+                    // The storm's other word pair is still cached, so the
+                    // phase's repeats were served by the cache.
+                    assert!(
+                        analyzer
+                            .cycles
+                            .iter()
+                            .any(|s| s.prev == cur && s.cur == prev),
+                        "step {step}"
+                    );
+                }
                 prev = cur;
             }
         }

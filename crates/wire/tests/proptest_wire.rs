@@ -9,8 +9,11 @@ use razorbus_wire::{BusLayout, BusPhysical, CouplingModel};
 use std::sync::OnceLock;
 
 /// The buses under test: the paper bus, its §6 boosted-coupling variant
-/// (rebuilt tables), an Elmore-ideal-coupling build and a narrow
-/// 8-bit/2-per-shield layout (different slot shapes and key widths).
+/// (rebuilt tables), an Elmore-ideal-coupling build, and three layouts
+/// with other slot shapes and key widths — a narrow 8-bit/2-per-shield
+/// bus (at most one signal neighbor), a 32-bit/8-per-shield bus (four
+/// signal neighbors, 9-bit keys, on interior wires) and a
+/// shield-between-every-wire bus (no signal neighbors at all).
 fn buses() -> &'static Vec<(&'static str, BusPhysical)> {
     static BUSES: OnceLock<Vec<(&'static str, BusPhysical)>> = OnceLock::new();
     BUSES.get_or_init(|| {
@@ -19,11 +22,15 @@ fn buses() -> &'static Vec<(&'static str, BusPhysical)> {
         let elmore =
             rebuild_with_coupling(CouplingModel::elmore_ideal(), BusLayout::paper_default());
         let narrow = rebuild_with_coupling(CouplingModel::default(), BusLayout::new(8, 2));
+        let wide_groups = rebuild_with_coupling(CouplingModel::default(), BusLayout::new(32, 8));
+        let all_shielded = rebuild_with_coupling(CouplingModel::default(), BusLayout::new(32, 1));
         vec![
             ("paper", paper),
             ("boosted", boosted),
             ("elmore", elmore),
             ("narrow", narrow),
+            ("wide-groups", wide_groups),
+            ("all-shielded", all_shielded),
         ]
     })
 }
@@ -51,9 +58,9 @@ fn rebuild_with_coupling(coupling: CouplingModel, layout: BusLayout) -> BusPhysi
 }
 
 /// Word pairs spanning the interesting densities, derived from raw
-/// draws: identical words (quiet), single-bit flips (quiet fast path),
-/// sparse nibble toggles, and dense random transitions (LUT +
-/// alignment fold).
+/// draws: identical words (quiet), single-bit flips (all-quiet
+/// entries), sparse nibble toggles, and dense random transitions
+/// (opposing candidates + alignment fold).
 fn word_pair(w: u32, m: u32, mode: u32) -> (u32, u32) {
     match mode {
         0 => (w, w),
