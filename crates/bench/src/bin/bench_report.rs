@@ -23,7 +23,8 @@
 //!   record; N and therefore the `w2`/`wmax` numbers depend on the
 //!   runner's core count),
 //! * environment echoes (`cycles_per_benchmark`, `threads` — the
-//!   resolved pool worker count — `component_threads`, the resolved
+//!   resolved pool worker count — `host_cores`, the runner's hardware
+//!   parallelism, `component_threads`, the resolved
 //!   thread count behind each runner-bound component, and
 //!   `component_fanin`, the resolved group width behind each fused
 //!   replay leg) so numbers from different runners can be compared
@@ -344,6 +345,7 @@ fn main() {
     let report = BenchReport {
         cycles_per_benchmark: cycles,
         threads: max_workers,
+        host_cores: host_cores(),
         stages_ms: stages,
         total_ms: round1(total_ms),
         components_mcycles_per_s: vec![
@@ -422,7 +424,12 @@ fn run_check(paths: &[String]) {
 /// (a 1-core runner's `w2` leg is a 1-thread measurement no matter
 /// what the pool was asked for).
 fn resolved_threads(requested: usize) -> usize {
-    requested.min(std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
+    requested.min(host_cores())
+}
+
+/// The runner's hardware parallelism, recorded as `host_cores`.
+fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// Rounds to one decimal (milliseconds keep the old `{:.1}` precision).

@@ -79,7 +79,8 @@
 //! disables the fused multi-member replay, so every open-loop member
 //! replays solo — the one-pass-per-member baseline CI diffs the fused
 //! path against (sets `RAZORBUS_NO_FUSED`; `RAZORBUS_REPLAY_FANIN=N`
-//! instead caps fused group width without disabling fusion).
+//! instead caps fused group width without disabling fusion — a value
+//! that is not a non-negative integer is refused with exit 2).
 //! `--threads=N` pins the executor's work-stealing pool to
 //! `N` workers for the whole run, overriding `RAZORBUS_THREADS`
 //! (default: available parallelism); `N` must be at least 1, and any

@@ -16,8 +16,13 @@ pub const SCHEMA: &str = "razorbus-bench/v1";
 pub struct BenchReport {
     /// Cycles per benchmark in force (`RAZORBUS_CYCLES`).
     pub cycles_per_benchmark: u64,
-    /// Available parallelism on the machine that produced the report.
+    /// Resolved pool worker count (`RAZORBUS_THREADS` if set, else
+    /// the machine's available parallelism).
     pub threads: usize,
+    /// The recording machine's core count (`available_parallelism`),
+    /// whatever the pool was pinned to — so a baseline says which
+    /// runner class its numbers came from.
+    pub host_cores: usize,
     /// `repro all` pipeline stages, milliseconds, in execution order.
     pub stages_ms: Vec<(&'static str, f64)>,
     /// End-to-end wall clock of the staged pipeline.
@@ -60,10 +65,11 @@ impl<T: serde::Serialize> serde::Serialize for NamedValues<'_, T> {
 impl serde::Serialize for BenchReport {
     fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         use serde::ser::SerializeStruct;
-        let mut state = serializer.serialize_struct("BenchReport", 8)?;
+        let mut state = serializer.serialize_struct("BenchReport", 9)?;
         state.serialize_field("schema", SCHEMA)?;
         state.serialize_field("cycles_per_benchmark", &self.cycles_per_benchmark)?;
         state.serialize_field("threads", &self.threads)?;
+        state.serialize_field("host_cores", &self.host_cores)?;
         state.serialize_field("stages_ms", &NamedValues(&self.stages_ms))?;
         state.serialize_field("total_ms", &self.total_ms)?;
         state.serialize_field(
@@ -302,6 +308,7 @@ mod tests {
         let report = BenchReport {
             cycles_per_benchmark: 50_000,
             threads: 8,
+            host_cores: 16,
             stages_ms: vec![("design_build", 0.5), ("fig8_typical+bank", 78.4)],
             total_ms: 78.9,
             components_mcycles_per_s: vec![("closed_loop_batched", 13.7)],
@@ -309,7 +316,7 @@ mod tests {
             component_fanin: vec![("fused_replay_f4", 4)],
         };
         let json = report.to_json().unwrap();
-        let expected = "{\n  \"schema\": \"razorbus-bench/v1\",\n  \"cycles_per_benchmark\": 50000,\n  \"threads\": 8,\n  \"stages_ms\": {\n    \"design_build\": 0.5,\n    \"fig8_typical+bank\": 78.4\n  },\n  \"total_ms\": 78.9,\n  \"components_mcycles_per_s\": {\n    \"closed_loop_batched\": 13.7\n  },\n  \"component_threads\": {\n    \"sweep_aggregate_wmax\": 8\n  },\n  \"component_fanin\": {\n    \"fused_replay_f4\": 4\n  }\n}\n";
+        let expected = "{\n  \"schema\": \"razorbus-bench/v1\",\n  \"cycles_per_benchmark\": 50000,\n  \"threads\": 8,\n  \"host_cores\": 16,\n  \"stages_ms\": {\n    \"design_build\": 0.5,\n    \"fig8_typical+bank\": 78.4\n  },\n  \"total_ms\": 78.9,\n  \"components_mcycles_per_s\": {\n    \"closed_loop_batched\": 13.7\n  },\n  \"component_threads\": {\n    \"sweep_aggregate_wmax\": 8\n  },\n  \"component_fanin\": {\n    \"fused_replay_f4\": 4\n  }\n}\n";
         assert_eq!(json, expected);
     }
 
@@ -332,6 +339,7 @@ mod tests {
         BenchReport {
             cycles_per_benchmark: 50_000,
             threads: 1,
+            host_cores: 1,
             stages_ms: vec![("ablations", 100.0)],
             total_ms: 100.0,
             components_mcycles_per_s: components,
@@ -429,6 +437,7 @@ mod tests {
         let report = BenchReport {
             cycles_per_benchmark: 1,
             threads: 1,
+            host_cores: 1,
             stages_ms: vec![("bad", f64::NAN)],
             total_ms: 0.0,
             components_mcycles_per_s: vec![],

@@ -1,30 +1,48 @@
-//! Lane-vectorized replay kernel: the integer half of the compiled-trace
-//! inner loop, processed eight cycles at a time with u64 bit-tricks.
+//! Replay kernels: the integer half of the compiled-trace inner loop.
 //!
 //! The compiled stream is branch-free struct-of-arrays data — per-cycle
 //! `(toggles u8, load-bin u16, switched-cap f64)` — and the per-cycle
-//! classification the hot loop performs on it reduces to integers once
-//! the supply row's float pass limits are requantized:
+//! classification replay performs on it reduces to integers once the
+//! supply row's float pass limits are requantized:
 //!
 //! * `load > pass[bucket]` with `load = bin · CEFF_BIN_WIDTH` is
-//!   monotone in the bin, so each `(supply, toggle count)` pair has a
+//!   monotone in the bin, so each `(supply, activity bucket)` pair has a
 //!   **minimal erroring bin**; the float comparison becomes
-//!   `bin >= err_bin[toggles]` — exactly, for every representable bin
+//!   `bin >= err_bin[bucket]` — exactly, for every representable bin
 //!   (see [`LaneThresholds`]).
-//! * Eight toggle bytes load as one `u64`; their sum folds with two
-//!   masked adds and a multiply. Four 16-bit bins compare against four
-//!   packed thresholds in one borrow-free SWAR subtraction, yielding one
-//!   result bit per field ([`swar_ge4`]); `count_ones` turns the masks
-//!   into error/violation counts.
 //!
-//! The float work is deliberately **not** vectorized: the switched-cap
-//! accumulation keeps the scalar loop's exact add sequence (f64 addition
-//! is not associative), so replay results stay bit-identical to the
-//! scalar body — pinned by the differential tests in `sim.rs` and by the
-//! unit tests below. The only elision is whole-lanes of quiet cycles,
-//! whose contributions are all `+0.0` by the format's quiet-cycle
-//! invariant and therefore cannot change a non-negative accumulator
-//! bitwise.
+//! Two kernels consume those thresholds:
+//!
+//! * [`process`] (solo and closed-loop replay) judges one supply eight
+//!   cycles at a time: eight toggle bytes load as one `u64` and their
+//!   sum folds with two masked adds and a multiply; four 16-bit bins
+//!   compare against four packed thresholds in one borrow-free SWAR
+//!   subtraction ([`swar_ge4`]), and `count_ones` turns the masks into
+//!   error/violation counts.
+//! * [`process_fused`] (open-loop fused replay) judges *every* member of
+//!   a group from one per-window `(activity bucket, load bin)` histogram
+//!   — the same table walk the sweep engine does over a whole trace
+//!   (`TraceSummary::error_rate`). One pass over the window tallies each
+//!   toggling cycle into its cell; suffix sums along the bin axis then
+//!   give "cycles of bucket `k` with `bin >= b`" for any `b`, so a
+//!   member's error count is `Σ_k suffix[k][err_bin_k]` and its shadow
+//!   count `Σ_k suffix[k][max(err_bin_k, shadow_bin_k)]` — two lookups
+//!   per bucket, independent of the window's length.
+//!
+//! Both kernels are bit-identical to the scalar loop body. The integer
+//! counts are exact: a cycle errors iff `t > 0 && bin >= err_bin[k]`,
+//! which is exactly membership in the suffix of bucket `k`'s row. Quiet
+//! `t == 0` cycles add zero to their cell, so they never count, just as
+//! `CompiledTrace::summary` skips them (`bucket_of(0)` is bucket 0,
+//! where a plain increment would count them). The scalar loop's
+//! `error && shadow` short-circuit is `bin >= err_bin && bin >=
+//! shadow_bin`, i.e. `bin >= max(..)`. The float work is deliberately
+//! **not** vectorized: the switched-cap accumulation keeps the scalar
+//! loop's exact add sequence (f64 addition is not associative) — pinned
+//! by the differential tests in `sim.rs` and by the unit tests below.
+//! The only elision is whole lanes of quiet cycles, whose contributions
+//! are all `+0.0` by the format's quiet-cycle invariant and therefore
+//! cannot change a non-negative accumulator bitwise.
 
 use crate::summary::{bucket_of, CEFF_BIN_WIDTH, N_BUCKETS, N_CEFF_BINS};
 
@@ -50,34 +68,41 @@ const PAIR_MASK: u64 = 0x00FF_00FF_00FF_00FF;
 const FIELD_TOP: u64 = 0x8000_8000_8000_8000;
 
 /// Per-cycle error/shadow decisions of one supply grid point, requantized
-/// to integer bin thresholds and indexed directly by toggle count.
+/// to integer bin thresholds.
 ///
-/// `err_bin[t]` is the smallest bin whose reconstructed load
+/// `bucket_err[k]` is the smallest bin whose reconstructed load
 /// (`bin as f64 * CEFF_BIN_WIDTH`) exceeds the row's pass limit for
-/// toggle count `t`'s activity bucket — so `bin >= err_bin[t]`
-/// reproduces the scalar loop's `toggles > 0 && load > pass[bucket]`
-/// exactly: the reconstruction is monotone in the bin, the threshold is
-/// found with the *same* float comparison, and `t == 0` maps to
-/// [`NEVER`]. `shadow_bin` is the same requantization of the shadow
-/// limits; the shadow decision additionally requires the error decision
-/// (the scalar loop short-circuits on `error`), which the caller
-/// preserves by AND-ing the two masks.
+/// activity bucket `k` — so `bin >= bucket_err[k]` reproduces the scalar
+/// loop's `load > pass[k]` exactly: the reconstruction is monotone in
+/// the bin and the threshold is found with the *same* float comparison.
+/// `bucket_shadow` is the same requantization of the shadow limits; the
+/// shadow decision additionally requires the error decision (the scalar
+/// loop short-circuits on `error`), which [`process`] preserves by
+/// AND-ing the two masks and [`process_fused`] by taking the larger of
+/// the two thresholds. `err_bin`/`shadow_bin` expand the per-bucket
+/// values to direct toggle-count indexing for [`process`]'s gathers,
+/// with `t == 0` mapped to [`NEVER`].
 pub(crate) struct LaneThresholds {
+    bucket_err: [u16; N_BUCKETS],
+    bucket_shadow: [u16; N_BUCKETS],
     err_bin: [u16; MAX_TOGGLES + 1],
     shadow_bin: [u16; MAX_TOGGLES + 1],
 }
 
 impl LaneThresholds {
-    /// Requantizes one supply row's per-bucket float limits.
+    /// Requantizes one supply row's per-bucket float limits — once per
+    /// bucket, then fanned out to the toggle-count tables.
     pub(crate) fn from_limits(pass: &[f64; N_BUCKETS], shadow: &[f64; N_BUCKETS]) -> Self {
         let mut thr = Self {
+            bucket_err: pass.map(min_exceeding_bin),
+            bucket_shadow: shadow.map(min_exceeding_bin),
             err_bin: [NEVER; MAX_TOGGLES + 1],
             shadow_bin: [NEVER; MAX_TOGGLES + 1],
         };
         for toggles in 1..=MAX_TOGGLES {
             let bucket = bucket_of(toggles as u32);
-            thr.err_bin[toggles] = min_exceeding_bin(pass[bucket]);
-            thr.shadow_bin[toggles] = min_exceeding_bin(shadow[bucket]);
+            thr.err_bin[toggles] = thr.bucket_err[bucket];
+            thr.shadow_bin[toggles] = thr.bucket_shadow[bucket];
         }
         thr
     }
@@ -86,10 +111,22 @@ impl LaneThresholds {
 /// The smallest bin whose reconstructed load exceeds `limit`, using the
 /// identical float comparison the scalar loop performs — or [`NEVER`]
 /// when no representable bin does.
+///
+/// Bisection over `0..=NEVER`: the predicate is monotone in the bin
+/// (the reconstruction `bin · CEFF_BIN_WIDTH` never decreases, and
+/// `x > limit` is monotone in `x`; a NaN limit is false everywhere), so
+/// the first `true` is found in ten compares instead of up to 512.
 fn min_exceeding_bin(limit: f64) -> u16 {
-    (0..NEVER)
-        .find(|&bin| f64::from(bin) * CEFF_BIN_WIDTH > limit)
-        .unwrap_or(NEVER)
+    let (mut lo, mut hi) = (0u16, NEVER);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if f64::from(mid) * CEFF_BIN_WIDTH > limit {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
 }
 
 /// One chunk's worth of inner-loop accumulators — the exact quantities
@@ -117,6 +154,23 @@ pub(crate) struct FusedCounts {
     pub errors: u64,
     /// Shadow-latch violations in the chunk, for this member.
     pub shadow: u64,
+}
+
+/// The fused kernel's per-window `(activity bucket, load bin)` cycle
+/// counts, laid out like `TraceSummary`'s histogram ([`N_BUCKETS`] rows
+/// of [`N_CEFF_BINS`]). Reused across windows: [`process_fused`] clears
+/// every cell it touched before returning, so the table is all-zero
+/// between calls and a window never sees its predecessor's cycles.
+pub(crate) struct WindowHistogram {
+    cells: Vec<u64>,
+}
+
+impl WindowHistogram {
+    pub(crate) fn new() -> Self {
+        Self {
+            cells: vec![0; N_BUCKETS * N_CEFF_BINS],
+        }
+    }
 }
 
 /// Classifies `toggles.len()` cycles against `thr`, eight per iteration.
@@ -182,33 +236,42 @@ pub(crate) fn process(
     acc
 }
 
-/// The fused-replay kernel: classifies `toggles.len()` cycles against
-/// *every* member's thresholds in one pass, while each lane's words are
-/// hot in registers/L1. Returns the member-independent `(toggle sum,
-/// switched-capacitance sum)` pair and writes each member's
-/// error/violation counts into its `counts` slot.
+/// The fused-replay kernel: judges `toggles.len()` cycles (one sampling
+/// window, or the whole trace) against *every* member's thresholds.
+/// Returns the member-independent `(toggle sum, switched-capacitance
+/// sum)` pair and writes each member's error/violation counts into its
+/// `counts` slot.
 ///
-/// Per member, the decisions are exactly [`process`]'s: the same packed
-/// bins compare against the member's own gathered thresholds with the
-/// same SWAR ops, the scalar tail evaluates the same comparisons, and
-/// the quiet-lane skip is member-independent (`err_bin[0]` is [`NEVER`]
-/// for every threshold table, and the capacitance elision is the same
-/// all-`+0.0` argument as in [`process`]) — so a fused member's counts
-/// are bit-identical to its solo run by construction, pinned by the
-/// differential test below and the replay differentials in `sim.rs`.
+/// One pass over the window tallies each toggling cycle into `hist`
+/// with the `bucket_of`/bin rule of `CompiledTrace::summary` (a quiet
+/// cycle adds zero — branch-free, because a per-cycle skip mispredicts
+/// on mixed idle/busy traffic; all-quiet lanes are skipped outright),
+/// sums toggles and folds the switched capacitances in cycle order. The
+/// touched bin range of every bucket row then becomes a suffix sum, and
+/// each member reads two cells per bucket — so the per-member cost is
+/// independent of the window's length. Per member the counts are exactly
+/// [`process`]'s: `suffix[k][b]` counts the window's bucket-`k` cycles
+/// with `bin >= b`, which is [`process`]'s per-cycle `bin >= err_bin[t]`
+/// summed over the cycles whose toggle count maps to bucket `k`, and the
+/// shadow's AND with the error decision is the `max` of the two
+/// thresholds. The capacitance fold is [`process`]'s too (same values,
+/// same order, same `+0.0` elision), pinned by the differential test
+/// below and the replay differentials in `sim.rs`.
 pub(crate) fn process_fused(
     toggles: &[u8],
     bins: &[u16],
     switched: &[f64],
     thrs: &[LaneThresholds],
+    hist: &mut WindowHistogram,
     counts: &mut [FusedCounts],
 ) -> (u64, f64) {
     debug_assert_eq!(toggles.len(), bins.len());
     debug_assert_eq!(toggles.len(), switched.len());
     debug_assert_eq!(thrs.len(), counts.len());
-    for c in counts.iter_mut() {
-        *c = FusedCounts::default();
-    }
+    let cells = &mut hist.cells;
+    let mut tally = |t: u8, bin: u16| {
+        cells[bucket_of(u32::from(t)) * N_CEFF_BINS + usize::from(bin)] += u64::from(t != 0);
+    };
     let mut toggle_sum = 0u64;
     let mut wire_cap = 0.0f64;
     let lanes = toggles.len() / LANE;
@@ -221,37 +284,59 @@ pub(crate) fn process_fused(
         }
         let pairs = (t64 & PAIR_MASK) + ((t64 >> 8) & PAIR_MASK);
         toggle_sum += pairs.wrapping_mul(0x0001_0001_0001_0001) >> 48;
-
-        // One bin pack serves every member; the gathers and compares
-        // run per member against its own requantized tables.
-        let bins_lo = pack4(bins[base..base + 4].try_into().expect("lane half"));
-        let bins_hi = pack4(bins[base + 4..base + LANE].try_into().expect("lane half"));
-        for (thr, cnt) in thrs.iter().zip(counts.iter_mut()) {
-            let err_lo = gather4(&t8[0..4], &thr.err_bin);
-            let err_hi = gather4(&t8[4..LANE], &thr.err_bin);
-            let sh_lo = gather4(&t8[0..4], &thr.shadow_bin);
-            let sh_hi = gather4(&t8[4..LANE], &thr.shadow_bin);
-            let ge_err_lo = swar_ge4(bins_lo, err_lo);
-            let ge_err_hi = swar_ge4(bins_hi, err_hi);
-            cnt.errors += u64::from(ge_err_lo.count_ones() + ge_err_hi.count_ones());
-            cnt.shadow += u64::from(
-                (ge_err_lo & swar_ge4(bins_lo, sh_lo)).count_ones()
-                    + (ge_err_hi & swar_ge4(bins_hi, sh_hi)).count_ones(),
-            );
+        for (&t, &bin) in t8.iter().zip(&bins[base..base + LANE]) {
+            tally(t, bin);
         }
-
         for &cap in &switched[base..base + LANE] {
             wire_cap += cap;
         }
     }
     for c in lanes * LANE..toggles.len() {
+        tally(toggles[c], bins[c]);
         toggle_sum += u64::from(toggles[c]);
         wire_cap += switched[c];
-        for (thr, cnt) in thrs.iter().zip(counts.iter_mut()) {
-            let error = bins[c] >= thr.err_bin[usize::from(toggles[c])];
-            cnt.errors += u64::from(error);
-            cnt.shadow += u64::from(error && bins[c] >= thr.shadow_bin[usize::from(toggles[c])]);
+    }
+
+    // Every tallied cell lies in the window's bin range, so only
+    // `lo..=hi` needs the suffix sum and the clear (one vectorized
+    // min/max pass over the bins; tiny windows stay cheap).
+    let (lo, hi) = bins
+        .iter()
+        .fold((u16::MAX, 0), |(lo, hi), &b| (lo.min(b), hi.max(b)));
+    let (lo, hi) = (usize::from(lo), usize::from(hi));
+    if lo > hi {
+        // An empty window.
+        counts.fill(FusedCounts::default());
+        return (toggle_sum, wire_cap);
+    }
+    for row in cells.chunks_exact_mut(N_CEFF_BINS) {
+        let mut above = 0u64;
+        for cell in row[lo..=hi].iter_mut().rev() {
+            above += *cell;
+            *cell = above;
         }
+    }
+    // Cycles of bucket `row` with `bin >= b`: the whole row below the
+    // touched range, nothing above it.
+    let at_least = |row: usize, b: u16| {
+        let b = usize::from(b);
+        if b > hi {
+            0
+        } else {
+            cells[row * N_CEFF_BINS + b.max(lo)]
+        }
+    };
+    for (thr, cnt) in thrs.iter().zip(counts.iter_mut()) {
+        let mut errors = 0u64;
+        let mut shadow = 0u64;
+        for (k, (&err, &sh)) in thr.bucket_err.iter().zip(&thr.bucket_shadow).enumerate() {
+            errors += at_least(k, err);
+            shadow += at_least(k, err.max(sh));
+        }
+        *cnt = FusedCounts { errors, shadow };
+    }
+    for row in cells.chunks_exact_mut(N_CEFF_BINS) {
+        row[lo..=hi].fill(0);
     }
     (toggle_sum, wire_cap)
 }
@@ -429,38 +514,136 @@ mod tests {
         }
     }
 
+    /// The linear scan `min_exceeding_bin` replaced — the oracle its
+    /// bisection is pinned to.
+    fn min_exceeding_bin_linear(limit: f64) -> u16 {
+        (0..NEVER)
+            .find(|&bin| f64::from(bin) * CEFF_BIN_WIDTH > limit)
+            .unwrap_or(NEVER)
+    }
+
+    /// Limits a bisection could plausibly get wrong: non-finite and
+    /// signed-zero values, every reconstructed bin edge and its
+    /// neighbouring ulps, the top of the bin range and far beyond it.
+    fn adversarial_limits() -> Vec<f64> {
+        let mut out = vec![
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            511.0,
+            511.5,
+            512.0,
+            1e300,
+            -1e300,
+        ];
+        for bin in 0..=NEVER {
+            let edge = f64::from(bin) * CEFF_BIN_WIDTH;
+            out.extend([edge.next_down(), edge, edge.next_up()]);
+        }
+        out
+    }
+
+    #[test]
+    fn bisection_matches_the_linear_scan_on_adversarial_limits() {
+        for limit in adversarial_limits() {
+            assert_eq!(
+                min_exceeding_bin(limit),
+                min_exceeding_bin_linear(limit),
+                "limit {limit:e} ({:#x})",
+                limit.to_bits()
+            );
+        }
+        assert_eq!(min_exceeding_bin(f64::NAN), NEVER);
+        assert_eq!(min_exceeding_bin(f64::NEG_INFINITY), 0);
+        assert_eq!(min_exceeding_bin(-0.0), 1);
+        assert_eq!(min_exceeding_bin(511.5), NEVER);
+    }
+
+    /// Per-bucket limits drawn from the adversarial pool and the random
+    /// mix, each bucket independently — so the shadow threshold lands
+    /// below, on and above the error threshold, `err_bin == 0` (negative
+    /// limits) and [`NEVER`] (limits past the bin range, NaN) all occur.
+    fn hostile_limits(rng: &mut Rng, pool: &[f64]) -> ([f64; N_BUCKETS], [f64; N_BUCKETS]) {
+        let (mut pass, mut shadow) = limits(rng);
+        for b in 0..N_BUCKETS {
+            if rng.next().is_multiple_of(2) {
+                pass[b] = pool[rng.next() as usize % pool.len()];
+            }
+            match rng.next() % 3 {
+                0 => shadow[b] = pool[rng.next() as usize % pool.len()],
+                1 => shadow[b] = pass[b] - (rng.next() % 64) as f64,
+                _ => {}
+            }
+        }
+        (pass, shadow)
+    }
+
     #[test]
     fn fused_kernel_matches_solo_process_per_member() {
-        // One fused pass over K member threshold tables must reproduce
-        // each member's solo `process` exactly: integer counts equal,
-        // and the shared toggle/capacitance sums bit-equal to any solo
-        // member's (they are member-independent) — across fan-ins,
-        // lengths and traffic densities, tails and quiet lanes included.
+        // Fused passes over K member threshold tables must reproduce each
+        // member's solo `process` exactly, window by window: integer
+        // counts equal, and the shared toggle/capacitance sums bit-equal
+        // to any solo member's (they are member-independent). One
+        // histogram serves every window of a sweep, so a window that saw
+        // its predecessor's tallies diverges; hostile limits put the
+        // shadow threshold below the error one, at bin 0 and at `NEVER`,
+        // and the quiet-heavy densities catch quiet cycles leaking into
+        // bucket 0.
+        let pool = adversarial_limits();
         let mut rng = Rng(0x000f_05ed);
-        for fan_in in [1usize, 3, 4, 16] {
+        let mut hist = WindowHistogram::new();
+        let mut saw_shadow_below = false;
+        for fan_in in [1usize, 3, 4, 16, 64] {
             for quiet_permille in [0, 300, 950, 1_000] {
                 for n in [0usize, 1, 7, 8, 9, 16, 1_000, 4_097] {
                     let (toggles, bins, switched) = random_cycles(&mut rng, n, quiet_permille);
                     let thrs: Vec<LaneThresholds> = (0..fan_in)
                         .map(|_| {
-                            let (pass, shadow) = limits(&mut rng);
+                            let (pass, shadow) = hostile_limits(&mut rng, &pool);
                             LaneThresholds::from_limits(&pass, &shadow)
                         })
                         .collect();
-                    let mut counts = vec![FusedCounts::default(); fan_in];
-                    let (toggle_sum, wire_cap) =
-                        process_fused(&toggles, &bins, &switched, &thrs, &mut counts);
-                    for (m, (thr, cnt)) in thrs.iter().zip(&counts).enumerate() {
-                        let solo = process(&toggles, &bins, &switched, thr);
-                        let ctx = format!("member {m}/{fan_in}, n={n} quiet={quiet_permille}");
-                        assert_eq!(cnt.errors, solo.errors, "{ctx}");
-                        assert_eq!(cnt.shadow, solo.shadow, "{ctx}");
-                        assert_eq!(toggle_sum, solo.toggles, "{ctx}");
-                        assert_eq!(wire_cap.to_bits(), solo.wire_cap.to_bits(), "{ctx}");
+                    saw_shadow_below |= thrs.iter().any(|t| {
+                        t.bucket_shadow
+                            .iter()
+                            .zip(&t.bucket_err)
+                            .any(|(s, e)| s < e)
+                    });
+                    for window in [Some(1usize), Some(7), Some(10_000), None] {
+                        let step = window.unwrap_or(usize::MAX).min(n.max(1));
+                        for start in (0..n.max(1)).step_by(step) {
+                            let end = (start + step).min(n);
+                            let (t, b, w) = (
+                                &toggles[start..end],
+                                &bins[start..end],
+                                &switched[start..end],
+                            );
+                            let mut counts = vec![FusedCounts::default(); fan_in];
+                            let (toggle_sum, wire_cap) =
+                                process_fused(t, b, w, &thrs, &mut hist, &mut counts);
+                            for (m, (thr, cnt)) in thrs.iter().zip(&counts).enumerate() {
+                                let solo = process(t, b, w, thr);
+                                let ctx = format!(
+                                    "member {m}/{fan_in}, n={n} quiet={quiet_permille} \
+                                     window {window:?} at {start}"
+                                );
+                                assert_eq!(cnt.errors, solo.errors, "{ctx}");
+                                assert_eq!(cnt.shadow, solo.shadow, "{ctx}");
+                                assert_eq!(toggle_sum, solo.toggles, "{ctx}");
+                                assert_eq!(wire_cap.to_bits(), solo.wire_cap.to_bits(), "{ctx}");
+                            }
+                        }
                     }
                 }
             }
         }
+        assert!(saw_shadow_below, "hostile limits must exercise the max");
+        assert!(
+            hist.cells.iter().all(|&c| c == 0),
+            "kernel leaves the table clear"
+        );
     }
 
     #[test]

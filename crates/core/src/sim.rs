@@ -801,11 +801,12 @@ impl CompiledTrace {
     }
 
     /// Replays *every* operating point of `ops` in **one pass** over the
-    /// compiled stream: the fused kernel (`lane.rs`) applies each
-    /// member's requantized integer thresholds to every 8-cycle lane
-    /// while the lane's words are hot in registers/L1, so a group of N
-    /// open-loop members streams the 11 B/cycle arrays once instead of
-    /// N times.
+    /// compiled stream: the fused kernel (`lane.rs`) tallies each
+    /// sampling window into one `(activity bucket, load bin)` histogram
+    /// and judges every member from its suffix sums with the member's
+    /// requantized integer thresholds, so a group of N open-loop members
+    /// streams the 11 B/cycle arrays once and pays per member only a few
+    /// lookups per window, whatever the window's length.
     ///
     /// Each member's report is **bit-identical** to its solo replay
     /// under [`razorbus_ctrl::FixedVoltage`] at the same corner, supply
@@ -889,6 +890,7 @@ impl CompiledTrace {
         let (toggles, bins, switched) = self.arrays();
         let cycles = self.cycles();
         let mut counts = vec![lane::FusedCounts::default(); ops.len()];
+        let mut hist = lane::WindowHistogram::new();
         let mut cycle = 0u64;
         let mut window_cycles = 0u64;
         let mut cursor = 0usize;
@@ -906,6 +908,7 @@ impl CompiledTrace {
                 &bins[cursor..end],
                 &switched[cursor..end],
                 &thrs,
+                &mut hist,
                 &mut counts,
             );
             cursor = end;
@@ -1590,7 +1593,7 @@ mod tests {
         ops: &[FusedOp],
         cycles: u64,
         sampling: Option<u64>,
-    ) {
+    ) -> Vec<SimReport> {
         let compiled = crate::CompiledTrace::compile(d, &mut bench.trace(seed), cycles);
         let fused = compiled.replay_fused(d, ops, sampling);
         assert_eq!(fused.len(), ops.len());
@@ -1637,6 +1640,7 @@ mod tests {
             }
             assert!(f.summary.is_none(), "{ctx}");
         }
+        fused
     }
 
     /// The Monte-Carlo-shaped matrix: `corners × supplies`, supplies on
@@ -1686,6 +1690,40 @@ mod tests {
             40_000,
             Some(17_500),
         );
+    }
+
+    #[test]
+    fn fused_replay_matches_solo_at_fan_in_64_across_windows() {
+        // Sixty-four members sweeping the whole supply grid at three
+        // corners: low supplies at the worst corner error and violate
+        // the shadow latch, fast-corner ones never error at all (every
+        // threshold is the `NEVER` sentinel). One-cycle and seven-cycle
+        // windows reuse the kernel's histogram thousands of times (a
+        // stale tally shows in the next window's counts), the 10 k
+        // window is the campaign shape, and `None` judges the trace as
+        // one window.
+        let d = design();
+        let grid = d.grid();
+        let corners = [PvtCorner::WORST, PvtCorner::TYPICAL, PvtCorner::BEST];
+        let ops: Vec<FusedOp> = (0..64)
+            .map(|k| FusedOp {
+                pvt: corners[k % corners.len()],
+                supply: grid.at(k % grid.len()),
+            })
+            .collect();
+        for (sampling, cycles) in [
+            (Some(1), 3_001),
+            (Some(7), 12_003),
+            (Some(10_000), 30_011),
+            (None, 30_011),
+        ] {
+            let fused = assert_fused_matches_solo(&d, Benchmark::Mgrid, 13, &ops, cycles, sampling);
+            assert!(
+                fused.iter().any(|r| r.shadow_violations > 0),
+                "{sampling:?}"
+            );
+            assert!(fused.iter().any(|r| r.errors == 0), "{sampling:?}");
+        }
     }
 
     #[test]

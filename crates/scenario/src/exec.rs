@@ -243,12 +243,35 @@ fn plan_replay_groups(
 /// judged in one pass. CI pins a small value to exercise group
 /// splitting; `bench_report` reads it to label its fused components
 /// honestly.
+///
+/// # Panics
+///
+/// Panics, naming the knob, when the variable holds anything but a
+/// non-negative integer. The executor refuses such a value with the
+/// same message as an `Err` from [`ScenarioSet::run`] before any work
+/// starts, so `repro` exits 2 instead.
 #[must_use]
 pub fn replay_fanin() -> usize {
-    std::env::var("RAZORBUS_REPLAY_FANIN")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(0)
+    fanin_knob().unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`replay_fanin`] as a refusal instead of a panic.
+fn fanin_knob() -> Result<usize, String> {
+    parse_fanin(std::env::var("RAZORBUS_REPLAY_FANIN"))
+}
+
+/// Parses the `RAZORBUS_REPLAY_FANIN` value: unset is `0`; anything
+/// set must parse as a non-negative integer (surrounding whitespace
+/// allowed) — `-3` or `abc` are refused, never read as unbounded.
+fn parse_fanin(var: Result<String, std::env::VarError>) -> Result<usize, String> {
+    let refuse = |raw: &dyn std::fmt::Debug| {
+        format!("RAZORBUS_REPLAY_FANIN must be a non-negative integer (0 = unbounded), got {raw:?}")
+    };
+    match var {
+        Err(std::env::VarError::NotPresent) => Ok(0),
+        Err(std::env::VarError::NotUnicode(raw)) => Err(refuse(&raw)),
+        Ok(s) => s.trim().parse().map_err(|_| refuse(&s)),
+    }
 }
 
 /// Whether fused replays are enabled (`RAZORBUS_NO_FUSED` unset, empty
@@ -418,8 +441,10 @@ impl ScenarioSet {
     /// # Errors
     ///
     /// Propagates expansion, design-build, governor-build and trace
-    /// construction errors. A malformed (but decodable) spec artifact
-    /// surfaces here as an `Err`, never a panic.
+    /// construction errors, and refuses a malformed
+    /// `RAZORBUS_REPLAY_FANIN` (see [`replay_fanin`]). A malformed (but
+    /// decodable) spec artifact surfaces here as an `Err`, never a
+    /// panic.
     pub fn run(&self) -> Result<ScenarioSetRun, String> {
         self.run_with_designs(Vec::new())
     }
@@ -497,6 +522,10 @@ impl ScenarioSet {
         fuse: Option<bool>,
         fanin: Option<usize>,
     ) -> Result<ScenarioSetRun, String> {
+        let fanin = match fanin {
+            Some(cap) => cap,
+            None => fanin_knob()?,
+        };
         let members = self.expand()?;
 
         // Unique designs, first-appearance order.
@@ -666,7 +695,6 @@ impl ScenarioSet {
         // else keeps its solo continuation. Planned up front, so
         // grouping never depends on scheduling.
         let fuse = fuse.unwrap_or_else(fused_replays_enabled);
-        let fanin = fanin.unwrap_or_else(replay_fanin);
         let replay_plans: Vec<Vec<ReplayPlan>> = compile_jobs
             .iter()
             .enumerate()
@@ -1765,5 +1793,21 @@ mod tests {
         assert!(fused.result.digest.is_some());
         assert_eq!(fused.result, solo.result);
         assert_eq!(fused.result, capped.result);
+    }
+
+    #[test]
+    fn fanin_knob_refuses_malformed_values_by_name() {
+        use std::env::VarError;
+        let parse = |v: &str| parse_fanin(Ok(v.to_string()));
+        assert_eq!(parse_fanin(Err(VarError::NotPresent)), Ok(0));
+        assert_eq!(parse("0"), Ok(0));
+        assert_eq!(parse(" 4 "), Ok(4));
+        for bad in ["-3", "abc", "", "2.5", "16x"] {
+            let err = parse(bad).unwrap_err();
+            assert!(err.contains("RAZORBUS_REPLAY_FANIN"), "{bad}: {err}");
+            assert!(err.contains(&format!("{bad:?}")), "{bad}: {err}");
+        }
+        let raw = std::ffi::OsString::from("x");
+        assert!(parse_fanin(Err(VarError::NotUnicode(raw))).is_err());
     }
 }
