@@ -11,7 +11,7 @@
 //! 6       1     payload encoding (1 = binary, 2 = JSON)
 //! 7       1     reserved, must be 0
 //! 8       2     kind length K
-//! 10      K     kind, UTF-8 (e.g. "repro-summaries")
+//! 10      K     kind, UTF-8 (e.g. "scenario-result")
 //! 10+K    8     payload length P
 //! 18+K    P     payload bytes
 //! 18+K+P  4     CRC-32 (IEEE) over bytes [0, 18+K+P)

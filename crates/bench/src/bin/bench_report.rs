@@ -35,7 +35,7 @@
 //! CI") for the schema.
 
 use razorbus_bench::cli::CliArgs;
-use razorbus_bench::persist::collect_shared_inputs;
+use razorbus_bench::persist::ReproSummaries;
 use razorbus_bench::report::{check_components, BenchReport};
 use razorbus_bench::{ablations, cycles_from_env, REPRO_SEED};
 use razorbus_core::{
@@ -43,7 +43,7 @@ use razorbus_core::{
 };
 use razorbus_ctrl::ThresholdController;
 use razorbus_process::{ProcessCorner, PvtCorner};
-use razorbus_scenario::{catalog, PoolChunks};
+use razorbus_scenario::{catalog, paper, PoolChunks};
 use razorbus_traces::{AdversarialCrosstalk, Benchmark, TraceSource};
 use razorbus_units::Millivolts;
 use std::time::Instant;
@@ -70,7 +70,10 @@ fn main() {
         .first()
         .cloned()
         .unwrap_or_else(|| "BENCH.json".to_string());
-    let cycles = cycles_from_env(50_000);
+    let cycles = cycles_from_env(50_000).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
     eprintln!("# bench_report: {cycles} cycles/benchmark -> {out_path}");
 
     let mut stages: Vec<(&'static str, f64)> = Vec::new();
@@ -90,13 +93,17 @@ fn main() {
     let design = design.expect("design built");
     let modified = DvsBusDesign::modified_paper_bus();
 
-    // The `repro all` shared inputs, through the same collection path the
-    // repro binary and the `--save-summaries` artifact use.
+    // The `repro all` shared inputs, through the path the repro binary
+    // runs: the `paper-all` scenario set on the executor.
     let mut shared = None;
     time("shared_inputs", &mut || {
-        shared = Some(collect_shared_inputs(
-            &design, &modified, cycles, REPRO_SEED,
-        ));
+        let run = paper::paper_all_set(cycles, REPRO_SEED)
+            .run()
+            .expect("the paper-all set runs");
+        shared = Some(
+            ReproSummaries::from_scenario_run(&run, cycles, REPRO_SEED)
+                .expect("paper-all carries the shared inputs"),
+        );
     });
     let shared = shared.expect("shared pass");
 

@@ -21,17 +21,10 @@
 //! cargo run -p razorbus-bench --bin repro --release -- digest-merge \
 //!     shard-a.rzba shard-b.rzba --out=combined.rzba
 //!
-//! # Collect the shared heavy inputs once, then reuse them (bit-identical):
-//! cargo run -p razorbus-bench --bin repro --release -- all --save-summaries
-//! cargo run -p razorbus-bench --bin repro --release -- all --load-summaries
-//!
-//! # Cache the design tables so warm runs skip BusTables::build:
-//! cargo run -p razorbus-bench --bin repro --release -- all --save-tables
-//! cargo run -p razorbus-bench --bin repro --release -- all --load-tables
-//!
-//! # Cache the compiled traces so warm runs skip the cycle analysis:
-//! cargo run -p razorbus-bench --bin repro --release -- all --save-compiled
-//! cargo run -p razorbus-bench --bin repro --release -- all --load-compiled
+//! # Simulate the paper once, then re-render it from the saved result
+//! # (bit-identical; `scenario paper-all` reads and writes the same file):
+//! cargo run -p razorbus-bench --bin repro --release -- all --save-result
+//! cargo run -p razorbus-bench --bin repro --release -- all --load-result
 //!
 //! # Record a campaign manifest, then verify a later build replays it
 //! # bit-identically (exit 1 + a localized report on divergence):
@@ -52,20 +45,12 @@
 //! `replay` takes its geometry from the manifest and `golden` pins the
 //! corpus geometry, so neither reads `RAZORBUS_CYCLES`.
 //!
-//! `--save-summaries[=PATH]` / `--load-summaries[=PATH]` (valid with
-//! `all` only) persist/reuse the three shared heavy inputs; loaded
-//! summaries must match the current `RAZORBUS_CYCLES` and seed, and the
-//! reused run's output is bit-identical to a cold run (pinned by CI's
-//! cache-reuse job). `--save-tables[=PATH]` / `--load-tables[=PATH]`
-//! (also `all` only) persist/reuse the two designs' look-up tables;
-//! tables stamped for a different bus are refused.
-//! `--save-compiled[=PATH]` / `--load-compiled[=PATH]` (also `all`
-//! only) persist/reuse both suites' compiled traces, so a warm run
-//! replays the stored per-cycle classification instead of re-running
-//! the cycle analysis — bit-identically; stale budgets/seeds and
-//! foreign-bus stamps are refused. `--save-result[=PATH]` /
-//! `--load-result[=PATH]` (with `scenario` only) persist/reload a
-//! scenario run so it re-renders without re-simulating.
+//! `--save-result[=PATH]` / `--load-result[=PATH]` (with `scenario` or
+//! `all`) persist/reload a scenario run as a `scenario-result`
+//! artifact, so it re-renders without re-simulating — bit-identically
+//! (pinned by CI's `artifact-cache` job). `all` runs the `paper-all`
+//! set, so the two subcommands share saved results. A result from
+//! another set, `RAZORBUS_CYCLES` or seed is refused.
 //! `--save-digest[=PATH]` / `--digest-csv[=PATH]` (with `scenario`
 //! only) write an aggregate campaign's streaming digest as a framed
 //! `campaign-digest` artifact / a one-row-per-metric CSV; both fail if
@@ -85,19 +70,22 @@
 //! `N` workers for the whole run, overriding `RAZORBUS_THREADS`
 //! (default: available parallelism); `N` must be at least 1, and any
 //! worker count produces bit-identical results — the flag only trades
-//! wall-clock time.
+//! wall-clock time. Every integer knob (`RAZORBUS_CYCLES`,
+//! `RAZORBUS_THREADS`, `RAZORBUS_REPLAY_FANIN`, `RAZORBUS_COMPILE_CHUNK`,
+//! `RAZORBUS_COMPILE_BUDGET_MB`) is checked before any work: a
+//! malformed value exits 2 naming the knob.
 
 use razorbus_bench::cli::CliArgs;
 use razorbus_bench::defaults::{
-    COMPILED_PATH, DIGEST_CSV_PATH, DIGEST_PATH, GOLDEN_CYCLES, GOLDEN_DIR, MANIFEST_PATH,
-    MERGED_DIGEST_PATH, REPRO_ARTIFACTS, RESULT_PATH, SUMMARIES_PATH, TABLES_PATH,
+    DIGEST_CSV_PATH, DIGEST_PATH, GOLDEN_CYCLES, GOLDEN_DIR, MANIFEST_PATH, MERGED_DIGEST_PATH,
+    REPRO_ARTIFACTS, RESULT_PATH,
 };
-use razorbus_bench::persist::{ReproCompiled, ReproSummaries, ReproTables};
+use razorbus_bench::persist::ReproSummaries;
 use razorbus_bench::{ablations, cycles_from_env, golden, REPRO_SEED};
 use razorbus_core::{experiments, DvsBusDesign};
 use razorbus_process::PvtCorner;
 use razorbus_scenario::{
-    catalog, paper, CampaignDigest, CampaignRecording, DesignSpec, ScenarioSetResult,
+    catalog, paper, CampaignDigest, CampaignRecording, DesignSpec, ScenarioSet, ScenarioSetResult,
     ScenarioSetRun,
 };
 
@@ -105,16 +93,10 @@ fn main() {
     let args = CliArgs::parse(
         std::env::args().skip(1),
         &[
-            "save-summaries",
-            "load-summaries",
-            "save-tables",
-            "load-tables",
             "save-result",
             "load-result",
             "save-digest",
             "digest-csv",
-            "save-compiled",
-            "load-compiled",
             "no-compiled",
             "no-fused",
             "manifest",
@@ -148,36 +130,18 @@ fn main() {
         ));
     }
 
-    let save_path = args.valued_flag("save-summaries", SUMMARIES_PATH);
-    let load_path = args.valued_flag("load-summaries", SUMMARIES_PATH);
-    let save_tables = args.valued_flag("save-tables", TABLES_PATH);
-    let load_tables = args.valued_flag("load-tables", TABLES_PATH);
     let save_result = args.valued_flag("save-result", RESULT_PATH);
     let load_result = args.valued_flag("load-result", RESULT_PATH);
     let save_digest = args.valued_flag("save-digest", DIGEST_PATH);
     let digest_csv = args.valued_flag("digest-csv", DIGEST_CSV_PATH);
-    let save_compiled = args.valued_flag("save-compiled", COMPILED_PATH);
-    let load_compiled = args.valued_flag("load-compiled", COMPILED_PATH);
     let no_compiled = args.has("no-compiled");
     let manifest = args.valued_flag("manifest", MANIFEST_PATH);
     let golden_record = args.has("record");
     let golden_dir = args.valued_flag("dir", GOLDEN_DIR);
     let merge_out = args.valued_flag("out", MERGED_DIGEST_PATH);
 
-    if (save_path.is_some() || load_path.is_some()) && what != "all" {
-        usage_error("--save-summaries/--load-summaries are only valid with `all`");
-    }
-    if (save_tables.is_some() || load_tables.is_some()) && what != "all" {
-        usage_error("--save-tables/--load-tables are only valid with `all`");
-    }
-    if save_path.is_some() && load_path.is_some() {
-        usage_error("--save-summaries and --load-summaries are mutually exclusive");
-    }
-    if save_tables.is_some() && load_tables.is_some() {
-        usage_error("--save-tables and --load-tables are mutually exclusive");
-    }
-    if (save_result.is_some() || load_result.is_some()) && what != "scenario" {
-        usage_error("--save-result/--load-result are only valid with `scenario`");
+    if (save_result.is_some() || load_result.is_some()) && !matches!(what, "scenario" | "all") {
+        usage_error("--save-result/--load-result are only valid with `scenario` or `all`");
     }
     if save_result.is_some() && load_result.is_some() {
         usage_error("--save-result and --load-result are mutually exclusive");
@@ -185,20 +149,8 @@ fn main() {
     if (save_digest.is_some() || digest_csv.is_some()) && what != "scenario" {
         usage_error("--save-digest/--digest-csv are only valid with `scenario`");
     }
-    if (save_compiled.is_some() || load_compiled.is_some()) && what != "all" {
-        usage_error("--save-compiled/--load-compiled are only valid with `all`");
-    }
-    if save_compiled.is_some() && load_compiled.is_some() {
-        usage_error("--save-compiled and --load-compiled are mutually exclusive");
-    }
-    if (save_compiled.is_some() || load_compiled.is_some()) && load_path.is_some() {
-        usage_error("--load-summaries already skips the simulations a compiled cache would feed");
-    }
     if no_compiled && !matches!(what, "scenario" | "all" | "record" | "replay") {
         usage_error("--no-compiled is only valid with `scenario`, `all`, `record` or `replay`");
-    }
-    if no_compiled && (save_compiled.is_some() || load_compiled.is_some()) {
-        usage_error("--no-compiled contradicts --save-compiled/--load-compiled");
     }
     let no_fused = args.has("no-fused");
     if no_fused && !matches!(what, "scenario" | "all" | "record" | "replay") {
@@ -232,7 +184,10 @@ fn main() {
         std::env::set_var("RAZORBUS_NO_FUSED", "1");
     }
 
-    let cycles = cycles_from_env(2_000_000);
+    // Every integer knob is checked before any work, so a malformed
+    // value exits 2 with empty stdout whichever path would read it.
+    let cycles = cycles_from_env(2_000_000).unwrap_or_else(|e| fail(&e));
+    razorbus_scenario::check_env_knobs().unwrap_or_else(|e| fail(&e));
     match what {
         // The replayed geometry is pinned by the manifest / corpus, not
         // the environment — don't print a misleading cycle count.
@@ -248,6 +203,15 @@ fn main() {
         _ => eprintln!("# razorbus repro: {what} ({cycles} cycles/benchmark, seed {REPRO_SEED})"),
     }
 
+    // `scenario` and `all` both run a set, or reload its saved result.
+    let simulate = |set: ScenarioSet| {
+        run_or_reload(
+            &set,
+            save_result.as_deref(),
+            load_result.as_deref(),
+            !no_compiled,
+        )
+    };
     match what {
         "scenarios" => {
             println!("named scenarios:");
@@ -258,16 +222,17 @@ fn main() {
         "scenario" => {
             let name = operand
                 .unwrap_or_else(|| usage_error("`scenario` needs a name (see `repro scenarios`)"));
-            run_scenario(
+            let Some(set) = catalog::by_name(&name, cycles, REPRO_SEED) else {
+                usage_error(&format!(
+                    "unknown scenario '{name}'; known: {}",
+                    catalog::NAMES.join(" ")
+                ));
+            };
+            render_scenario(
                 &name,
-                cycles,
-                &ScenarioOutputs {
-                    save_result,
-                    load_result,
-                    save_digest,
-                    digest_csv,
-                },
-                !no_compiled,
+                &simulate(set),
+                save_digest.as_deref(),
+                digest_csv.as_deref(),
             );
         }
         "record" => {
@@ -289,16 +254,7 @@ fn main() {
             let out = merge_out.unwrap_or_else(|| MERGED_DIGEST_PATH.to_string());
             run_digest_merge(&merge_inputs, &out);
         }
-        "all" => run_all(
-            cycles,
-            save_path,
-            load_path,
-            save_tables,
-            load_tables,
-            save_compiled,
-            load_compiled,
-            !no_compiled,
-        ),
+        "all" => run_everything(&simulate(paper::paper_all_set(cycles, REPRO_SEED)), cycles),
         "fig4" => {
             banner("Fig. 4 (energy & error rate vs. static VDD)");
             let run = run_set(paper::fig4_set(cycles, REPRO_SEED));
@@ -344,67 +300,14 @@ fn main() {
     }
 }
 
-/// The scenario subcommand's output flags, bundled.
-struct ScenarioOutputs {
-    save_result: Option<String>,
-    load_result: Option<String>,
-    save_digest: Option<String>,
-    digest_csv: Option<String>,
-}
-
-/// Runs (or reloads) one named scenario and renders it.
-fn run_scenario(name: &str, cycles: u64, outputs: &ScenarioOutputs, share_compiled: bool) {
-    let ScenarioOutputs {
-        save_result,
-        load_result,
-        save_digest,
-        digest_csv,
-    } = outputs;
-    let Some(set) = catalog::by_name(name, cycles, REPRO_SEED) else {
-        usage_error(&format!(
-            "unknown scenario '{name}'; known: {}",
-            catalog::NAMES.join(" ")
-        ));
-    };
-    let run = match &load_result {
-        Some(path) => {
-            use razorbus_artifact::Artifact;
-            let result = ScenarioSetResult::load_file(path)
-                .unwrap_or_else(|e| fail(&format!("cannot reload scenario result {path}: {e}")));
-            if result.name != set.name {
-                fail(&format!(
-                    "result in {path} is for scenario set `{}`, not `{}`",
-                    result.name, set.name
-                ));
-            }
-            // A result rendered under this banner must be the result of
-            // *this* campaign: same members, same cycles/benchmark, same
-            // seed — the same staleness contract `--load-summaries`
-            // enforces (a 1 000-cycle result must not silently render
-            // under a 10 M-cycle banner).
-            let expected = set.expand().unwrap_or_else(|e| fail(&e));
-            let stored: Vec<_> = result.members.iter().map(|m| &m.spec).collect();
-            if !stored.iter().copied().eq(expected.iter()) {
-                fail(&format!(
-                    "result in {path} was produced by different member specs \
-                     (likely another RAZORBUS_CYCLES cycles/benchmark or seed) — \
-                     re-save or match the environment"
-                ));
-            }
-            eprintln!("# reloaded scenario result from {path} (no simulation)");
-            ScenarioSetRun::from_result(result).unwrap_or_else(|e| fail(&e))
-        }
-        None => set
-            .run_with_options(Vec::new(), share_compiled)
-            .unwrap_or_else(|e| fail(&e)),
-    };
-    if let Some(path) = &save_result {
-        use razorbus_artifact::Artifact;
-        run.result
-            .save_file(path, razorbus_artifact::Encoding::Binary)
-            .unwrap_or_else(|e| fail(&format!("cannot save scenario result to {path}: {e}")));
-        eprintln!("# saved scenario result to {path}");
-    }
+/// Writes a named scenario run's digest outputs, if asked, and renders
+/// it.
+fn render_scenario(
+    name: &str,
+    run: &ScenarioSetRun,
+    save_digest: Option<&str>,
+    digest_csv: Option<&str>,
+) {
     let digest = run.result.digest.as_ref();
     if (save_digest.is_some() || digest_csv.is_some()) && digest.is_none() {
         fail(&format!(
@@ -412,14 +315,14 @@ fn run_scenario(name: &str, cycles: u64, outputs: &ScenarioOutputs, share_compil
              digest to write (--save-digest/--digest-csv need one)"
         ));
     }
-    if let (Some(path), Some(digest)) = (&save_digest, digest) {
+    if let (Some(path), Some(digest)) = (save_digest, digest) {
         use razorbus_artifact::Artifact;
         digest
             .save_file(path, razorbus_artifact::Encoding::Binary)
             .unwrap_or_else(|e| fail(&format!("cannot save campaign digest to {path}: {e}")));
         eprintln!("# saved campaign digest to {path}");
     }
-    if let (Some(path), Some(digest)) = (&digest_csv, digest) {
+    if let (Some(path), Some(digest)) = (digest_csv, digest) {
         std::fs::write(path, digest.csv())
             .unwrap_or_else(|e| fail(&format!("cannot write digest CSV to {path}: {e}")));
         eprintln!("# wrote campaign digest CSV to {path}");
@@ -428,25 +331,76 @@ fn run_scenario(name: &str, cycles: u64, outputs: &ScenarioOutputs, share_compil
     // else gets the generic member render.
     match name {
         "fig4" => {
-            adapter(paper::fig4_panel(&run, "fig4@worst")).print();
+            adapter(paper::fig4_panel(run, "fig4@worst")).print();
             println!();
-            adapter(paper::fig4_panel(&run, "fig4@typical")).print();
+            adapter(paper::fig4_panel(run, "fig4@typical")).print();
         }
-        "fig5" => adapter(paper::fig5_data(&run)).print(),
-        "fig8" => adapter(paper::fig8_data(&run)).print(),
-        "table1" => adapter(paper::table1_data(&run)).print(),
-        "fig10" => adapter(paper::fig10_data(&run)).print(),
+        "fig5" => adapter(paper::fig5_data(run)).print(),
+        "fig8" => adapter(paper::fig8_data(run)).print(),
+        "table1" => adapter(paper::table1_data(run)).print(),
+        "fig10" => adapter(paper::fig10_data(run)).print(),
         "paper-all" => {
-            adapter(paper::fig4_panel(&run, "fig4@worst")).print();
+            adapter(paper::fig4_panel(run, "fig4@worst")).print();
             println!();
-            adapter(paper::fig4_panel(&run, "fig4@typical")).print();
-            adapter(paper::fig5_data(&run)).print();
-            adapter(paper::fig8_data(&run)).print();
-            adapter(paper::table1_data(&run)).print();
-            adapter(paper::fig10_data(&run)).print();
+            adapter(paper::fig4_panel(run, "fig4@typical")).print();
+            adapter(paper::fig5_data(run)).print();
+            adapter(paper::fig8_data(run)).print();
+            adapter(paper::table1_data(run)).print();
+            adapter(paper::fig10_data(run)).print();
         }
         _ => run.print(),
     }
+}
+
+/// Runs `set`, or reloads its saved `scenario-result` from `load_result`
+/// instead of simulating, then saves the result to `save_result` if
+/// asked. `scenario` and `all` both come through here, so a result one
+/// saves the other loads.
+///
+/// A reloaded result must be the result of *this* campaign: same set,
+/// same member specs (so the same cycles/benchmark and seed) — a
+/// 1 000-cycle result must not silently render under a 10 M-cycle
+/// banner. Anything else exits 2 before any output.
+fn run_or_reload(
+    set: &ScenarioSet,
+    save_result: Option<&str>,
+    load_result: Option<&str>,
+    share_compiled: bool,
+) -> ScenarioSetRun {
+    use razorbus_artifact::{Artifact, Encoding};
+    let run = match load_result {
+        Some(path) => {
+            let result = ScenarioSetResult::load_file(path)
+                .unwrap_or_else(|e| fail(&format!("cannot reload scenario result {path}: {e}")));
+            if result.name != set.name {
+                fail(&format!(
+                    "result in {path} is for scenario set `{}`, not `{}`",
+                    result.name, set.name
+                ));
+            }
+            let expected = set.expand().unwrap_or_else(|e| fail(&e));
+            if !result.members.iter().map(|m| &m.spec).eq(expected.iter()) {
+                fail(&format!(
+                    "result in {path} was produced by different member specs \
+                     (likely another RAZORBUS_CYCLES cycles/benchmark or seed) — \
+                     re-save or match the environment"
+                ));
+            }
+            eprintln!("# reloaded scenario result from {path} (no simulation)");
+            ScenarioSetRun::from_result(result)
+                .unwrap_or_else(|e| fail(&format!("cannot reuse scenario result {path}: {e}")))
+        }
+        None => set
+            .run_with_options(Vec::new(), share_compiled)
+            .unwrap_or_else(|e| fail(&e)),
+    };
+    if let Some(path) = save_result {
+        run.result
+            .save_file(path, Encoding::Binary)
+            .unwrap_or_else(|e| fail(&format!("cannot save scenario result to {path}: {e}")));
+        eprintln!("# saved scenario result to {path}");
+    }
+    run
 }
 
 /// Records one named campaign: runs it and writes the
@@ -590,82 +544,6 @@ fn run_golden(dir: &std::path::Path, record: bool) {
     );
 }
 
-/// The `all` pipeline: the `paper-all` scenario set supplies every
-/// shared heavy input (deduplicated and fanned out by the executor —
-/// the same three concurrent jobs the old hand-wired collection ran),
-/// then the figures print from those inputs exactly as before.
-#[allow(clippy::too_many_arguments)] // one parameter per CLI cache flag
-fn run_all(
-    cycles: u64,
-    save_path: Option<String>,
-    load_path: Option<String>,
-    save_tables: Option<String>,
-    load_tables: Option<String>,
-    save_compiled: Option<String>,
-    load_compiled: Option<String>,
-    share_compiled: bool,
-) {
-    let (design, modified) = match &load_tables {
-        Some(path) => match ReproTables::load_designs(path) {
-            Ok(pair) => {
-                eprintln!("# loaded design tables from {path} (BusTables::build skipped)");
-                pair
-            }
-            Err(e) => fail(&format!("cannot reuse tables from {path}: {e}")),
-        },
-        None => (
-            DvsBusDesign::paper_default(),
-            DvsBusDesign::modified_paper_bus(),
-        ),
-    };
-    if let Some(path) = &save_tables {
-        ReproTables::capture(&design, &modified)
-            .save(path)
-            .unwrap_or_else(|e| fail(&format!("cannot save tables to {path}: {e}")));
-        eprintln!("# saved design tables to {path}");
-    }
-
-    let shared = if let Some(path) = &load_path {
-        match ReproSummaries::load(path, cycles, REPRO_SEED) {
-            Ok(shared) => {
-                eprintln!("# loaded shared summaries from {path}");
-                shared
-            }
-            Err(e) => fail(&format!("cannot reuse summaries from {path}: {e}")),
-        }
-    } else if let Some(path) = &load_compiled {
-        let bundle = ReproCompiled::load(path, &design, &modified, cycles, REPRO_SEED)
-            .unwrap_or_else(|e| fail(&format!("cannot reuse compiled traces from {path}: {e}")));
-        eprintln!("# loaded compiled traces from {path} (cycle analysis skipped)");
-        bundle.into_shared_inputs(&design, &modified)
-    } else if let Some(path) = &save_compiled {
-        let bundle = ReproCompiled::compile(&design, &modified, cycles, REPRO_SEED);
-        bundle
-            .save(path)
-            .unwrap_or_else(|e| fail(&format!("cannot save compiled traces to {path}: {e}")));
-        eprintln!("# saved compiled traces to {path}");
-        bundle.into_shared_inputs(&design, &modified)
-    } else {
-        let run = paper::paper_all_set(cycles, REPRO_SEED)
-            .run_with_options(
-                vec![
-                    (DesignSpec::Paper, design.clone()),
-                    (DesignSpec::ModifiedCoupling, modified.clone()),
-                ],
-                share_compiled,
-            )
-            .unwrap_or_else(|e| fail(&e));
-        ReproSummaries::from_scenario_run(&run, cycles, REPRO_SEED).unwrap_or_else(|e| fail(&e))
-    };
-    if let Some(path) = &save_path {
-        shared
-            .save(path)
-            .unwrap_or_else(|e| fail(&format!("cannot save summaries to {path}: {e}")));
-        eprintln!("# saved shared summaries to {path}");
-    }
-    run_everything(&design, &modified, cycles, &shared);
-}
-
 fn adapter<T>(result: Result<T, String>) -> T {
     result.unwrap_or_else(|e| fail(&e))
 }
@@ -680,9 +558,6 @@ fn usage_error(msg: &str) -> ! {
         "error: {msg}\nusage: repro [fig4|fig5|fig6|fig8|table1|fig10|scaling|ablations|\
          scenario <name>|scenarios|record <name>|replay <manifest>|golden|\
          digest-merge <digest...>|all] \
-         [--save-summaries[=PATH] | --load-summaries[=PATH]] \
-         [--save-tables[=PATH] | --load-tables[=PATH]] \
-         [--save-compiled[=PATH] | --load-compiled[=PATH]] \
          [--save-result[=PATH] | --load-result[=PATH]] \
          [--save-digest[=PATH]] [--digest-csv[=PATH]] [--no-compiled] \
          [--no-fused] [--manifest[=PATH]] [--record] [--dir[=PATH]] \
@@ -691,23 +566,22 @@ fn usage_error(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Prints every figure/table of the paper from one shared set of heavy
-/// inputs.
+/// The `all` pipeline: prints every figure/table of the paper from the
+/// `paper-all` run (simulated or reloaded), which supplies both designs
+/// and every shared heavy input.
 ///
-/// The expensive inputs arrive pre-collected (through the scenario
-/// executor) or pre-loaded as a [`ReproSummaries`]: one
-/// [`experiments::SummaryBank`] (reused by Fig. 4's two panels, Fig. 5,
-/// Table 1's two corners and Fig. 10's original-bus side), the modified
-/// bus's combined summary, and one consecutive closed-loop run per
-/// unique (design, corner) pair (the typical-corner run serves both
+/// The expensive inputs are a [`ReproSummaries`] extracted from the run:
+/// one [`experiments::SummaryBank`] (reused by Fig. 4's two panels,
+/// Fig. 5, Table 1's two corners and Fig. 10's original-bus side), the
+/// modified bus's combined summary, and one consecutive closed-loop run
+/// per unique (design, corner) pair (the typical-corner run serves both
 /// Fig. 8 and Table 1; the worst-corner run serves both Table 1 and
 /// Fig. 10).
-fn run_everything(
-    design: &DvsBusDesign,
-    modified: &DvsBusDesign,
-    cycles: u64,
-    shared: &ReproSummaries,
-) {
+fn run_everything(run: &ScenarioSetRun, cycles: u64) {
+    let shared = adapter(ReproSummaries::from_scenario_run(run, cycles, REPRO_SEED));
+    let design = adapter(run.design_for(&DesignSpec::Paper));
+    let modified = adapter(run.design_for(&DesignSpec::ModifiedCoupling));
+
     banner("Fig. 4 (energy & error rate vs. static VDD)");
     experiments::fig4::from_summary(design, PvtCorner::WORST, shared.bank.combined()).print();
     println!();
@@ -745,7 +619,7 @@ fn run_everything(
     ablations::run_all(cycles / 4);
 }
 
-fn run_set(set: razorbus_scenario::ScenarioSet) -> ScenarioSetRun {
+fn run_set(set: ScenarioSet) -> ScenarioSetRun {
     set.run().unwrap_or_else(|e| fail(&e))
 }
 

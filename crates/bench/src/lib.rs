@@ -19,15 +19,16 @@ pub mod golden;
 pub mod persist;
 pub mod report;
 
-/// Cycles per benchmark for full reproductions: the paper's 10 M unless
-/// `RAZORBUS_CYCLES` overrides (the `repro` binary defaults lower; see
-/// its `--help`).
-#[must_use]
-pub fn cycles_from_env(default: u64) -> u64 {
-    std::env::var("RAZORBUS_CYCLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
+/// Cycles per benchmark for full reproductions: `default` unless
+/// `RAZORBUS_CYCLES` overrides (the `repro` binary defaults to 2 M; the
+/// paper uses 10 M).
+///
+/// # Errors
+///
+/// Names the knob and its value when it is set to anything but a
+/// non-negative integer — a typo must not silently run the default.
+pub fn cycles_from_env(default: u64) -> Result<u64, String> {
+    Ok(razorbus_core::env_knob("RAZORBUS_CYCLES", 0)?.unwrap_or(default))
 }
 
 /// Seed used across the harness so reproduction runs are comparable.
@@ -41,6 +42,6 @@ mod tests {
     fn env_override_parses() {
         // Not setting the variable: default wins.
         std::env::remove_var("RAZORBUS_CYCLES_TEST_SENTINEL");
-        assert_eq!(cycles_from_env(123), 123);
+        assert_eq!(cycles_from_env(123), Ok(123));
     }
 }

@@ -36,13 +36,25 @@ const DEFAULT_COMPILE_CHUNK: usize = 65_536;
 /// (`RAZORBUS_COMPILE_CHUNK`, default 64k). Each chunk is one
 /// independent analysis sub-job; smaller chunks expose more parallelism
 /// at more per-chunk overhead.
+///
+/// # Panics
+///
+/// Panics, naming the knob, when the variable is set to anything but a
+/// positive integer (see [`compile_chunk_knob`] for the refusal as an
+/// `Err`).
 #[must_use]
 pub fn compile_chunk_cycles() -> usize {
-    std::env::var("RAZORBUS_COMPILE_CHUNK")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&c| c > 0)
-        .unwrap_or(DEFAULT_COMPILE_CHUNK)
+    compile_chunk_knob().unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`compile_chunk_cycles`] as a refusal instead of a panic.
+///
+/// # Errors
+///
+/// Names the knob and its value when it is set to anything but a
+/// positive integer.
+pub fn compile_chunk_knob() -> Result<usize, String> {
+    Ok(crate::env_knob("RAZORBUS_COMPILE_CHUNK", 1)?.unwrap_or(DEFAULT_COMPILE_CHUNK))
 }
 
 /// Executes the independent per-chunk analysis jobs of a parallel

@@ -4,9 +4,9 @@
 //! `razorbus-core` owns the two-phase compile pipeline
 //! ([`razorbus_core::CompiledTrace::compile_with`]) but stays
 //! thread-pool-free; this adapter injects the pool from
-//! [`crate::pool`] as the chunk executor. Standalone compiles
-//! (`ReproCompiled`, bench components) go through [`PoolChunks`];
-//! campaign runs instead interleave chunk jobs with replays inside the
+//! [`crate::pool`] as the chunk executor. Standalone compiles (the
+//! `bench_report` component legs) go through [`PoolChunks`]; campaign
+//! runs instead interleave chunk jobs with replays inside the
 //! executor's own pool invocation (`Job::CompileChunk` in `exec.rs`).
 
 use razorbus_core::ChunkRunner;

@@ -46,8 +46,8 @@ use crate::result::{LoopData, MemberResult, ScenarioSetResult, StreamRun, SweepD
 use crate::spec::{ControllerSpec, DesignSpec, ScenarioSpec, WorkloadSpec};
 use razorbus_core::experiments::{fig8, SummaryBank};
 use razorbus_core::{
-    compile_chunk_cycles, BusSimulator, CompiledChunk, CompiledTrace, DvsBusDesign, FusedOp,
-    TraceSummary,
+    compile_chunk_cycles, compile_chunk_knob, env_knob, parse_knob, BusSimulator, CompiledChunk,
+    CompiledTrace, DvsBusDesign, FusedOp, TraceSummary,
 };
 use razorbus_ctrl::{BoxedGovernor, GovernorSpec};
 use razorbus_process::PvtCorner;
@@ -247,31 +247,37 @@ fn plan_replay_groups(
 /// # Panics
 ///
 /// Panics, naming the knob, when the variable holds anything but a
-/// non-negative integer. The executor refuses such a value with the
-/// same message as an `Err` from [`ScenarioSet::run`] before any work
-/// starts, so `repro` exits 2 instead.
+/// non-negative integer. [`check_env_knobs`] refuses such a value with
+/// the same message as an `Err`, and [`ScenarioSet::run`] calls it
+/// before any work starts, so `repro` exits 2 instead.
 #[must_use]
 pub fn replay_fanin() -> usize {
-    fanin_knob().unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`replay_fanin`] as a refusal instead of a panic.
-fn fanin_knob() -> Result<usize, String> {
-    parse_fanin(std::env::var("RAZORBUS_REPLAY_FANIN"))
+    parse_fanin(std::env::var("RAZORBUS_REPLAY_FANIN")).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Parses the `RAZORBUS_REPLAY_FANIN` value: unset is `0`; anything
 /// set must parse as a non-negative integer (surrounding whitespace
 /// allowed) — `-3` or `abc` are refused, never read as unbounded.
 fn parse_fanin(var: Result<String, std::env::VarError>) -> Result<usize, String> {
-    let refuse = |raw: &dyn std::fmt::Debug| {
-        format!("RAZORBUS_REPLAY_FANIN must be a non-negative integer (0 = unbounded), got {raw:?}")
-    };
-    match var {
-        Err(std::env::VarError::NotPresent) => Ok(0),
-        Err(std::env::VarError::NotUnicode(raw)) => Err(refuse(&raw)),
-        Ok(s) => s.trim().parse().map_err(|_| refuse(&s)),
-    }
+    Ok(parse_knob("RAZORBUS_REPLAY_FANIN", var, 0)?.unwrap_or(0))
+}
+
+/// Refuses a malformed executor knob before any work starts:
+/// `RAZORBUS_REPLAY_FANIN`, `RAZORBUS_THREADS`, `RAZORBUS_COMPILE_CHUNK`
+/// and `RAZORBUS_COMPILE_BUDGET_MB` must each be unset or an integer
+/// (`THREADS` and `COMPILE_CHUNK` at least 1). The public readers
+/// panic on such a value; this is the same check as an `Err`, which
+/// [`ScenarioSet::run`] returns and `repro` turns into exit 2.
+///
+/// # Errors
+///
+/// Names the first malformed knob and the value it holds.
+pub fn check_env_knobs() -> Result<(), String> {
+    parse_fanin(std::env::var("RAZORBUS_REPLAY_FANIN"))?;
+    pool::threads_knob()?;
+    compile_chunk_knob()?;
+    compile_budget()?;
+    Ok(())
 }
 
 /// Whether fused replays are enabled (`RAZORBUS_NO_FUSED` unset, empty
@@ -342,11 +348,10 @@ const DEFAULT_COMPILE_BUDGET: u64 = 768 * 1024 * 1024;
 /// [`CompiledTrace::memory_bytes`] by a test.
 const COMPILED_BYTES_PER_CYCLE: u64 = 11;
 
-pub(crate) fn compile_budget() -> u64 {
-    std::env::var("RAZORBUS_COMPILE_BUDGET_MB")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .map_or(DEFAULT_COMPILE_BUDGET, |mb| mb * 1024 * 1024)
+/// The compile budget in bytes, refusing a malformed knob by name.
+pub(crate) fn compile_budget() -> Result<u64, String> {
+    Ok(env_knob("RAZORBUS_COMPILE_BUDGET_MB", 0)?
+        .map_or(DEFAULT_COMPILE_BUDGET, |mb: u64| mb * 1024 * 1024))
 }
 
 /// Estimated resident bytes of compiling `key`'s workload.
@@ -450,10 +455,10 @@ impl ScenarioSet {
     }
 
     /// Like [`ScenarioSet::run`], with caller-supplied designs for some
-    /// (or all) of the member [`DesignSpec`]s — the table-cache path:
-    /// `repro --load-tables` reconstitutes designs from persisted
-    /// `BusTables` and hands them in, skipping their `BusTables::build`.
-    /// Specs without a prebuilt entry are built as usual.
+    /// (or all) of the member [`DesignSpec`]s, so a caller that already
+    /// built them (a benchmark timing set-up apart from the campaign)
+    /// skips their `BusTables::build`. Specs without a prebuilt entry
+    /// are built as usual.
     ///
     /// # Errors
     ///
@@ -497,6 +502,7 @@ impl ScenarioSet {
         share_compiled: bool,
         workers: Option<usize>,
     ) -> Result<ScenarioSetRun, String> {
+        check_env_knobs()?;
         self.run_full(
             prebuilt,
             share_compiled,
@@ -522,10 +528,7 @@ impl ScenarioSet {
         fuse: Option<bool>,
         fanin: Option<usize>,
     ) -> Result<ScenarioSetRun, String> {
-        let fanin = match fanin {
-            Some(cap) => cap,
-            None => fanin_knob()?,
-        };
+        let fanin = fanin.unwrap_or_else(replay_fanin);
         let members = self.expand()?;
 
         // Unique designs, first-appearance order.
@@ -667,7 +670,7 @@ impl ScenarioSet {
         }
 
         let compile_jobs = if share_compiled {
-            plan_compile_jobs(&loop_jobs, compile_budget())
+            plan_compile_jobs(&loop_jobs, compile_budget()?)
         } else {
             Vec::new()
         };
@@ -1245,10 +1248,38 @@ impl ScenarioSetRun {
     /// persisted scenario run re-renders without re-simulating (designs
     /// rebuild in milliseconds; the simulations they gate do not).
     ///
+    /// The paper adapters zip suite products with [`Benchmark::ALL`]
+    /// and assert that order, so a decodable result whose suite members
+    /// list their programs in another order is refused here instead of
+    /// panicking there.
+    ///
     /// # Errors
     ///
-    /// Propagates design-build errors.
+    /// Names the member and field of a suite product out of
+    /// [`Benchmark::ALL`] order; propagates design-build errors.
     pub fn from_result(result: ScenarioSetResult) -> Result<Self, String> {
+        for m in &result.members {
+            if !matches!(m.spec.workload, WorkloadSpec::Suite) {
+                continue;
+            }
+            let refuse = |field: &str| {
+                Err(format!(
+                    "member `{}`: {field} does not list the ten benchmarks in Table 1 order",
+                    m.spec.name
+                ))
+            };
+            if let Some(LoopData::Suite(data)) = &m.closed_loop {
+                if !data.segments.iter().map(|s| s.benchmark).eq(Benchmark::ALL) {
+                    return refuse("closed-loop `segments`");
+                }
+            }
+            if let Some(SweepData::Bank(bank)) = &m.sweep {
+                let programs = bank.per_benchmark().iter().map(|(b, _)| *b);
+                if !programs.eq(Benchmark::ALL) {
+                    return refuse("summary bank `per_benchmark`");
+                }
+            }
+        }
         let mut design_specs: Vec<DesignSpec> = Vec::new();
         for m in &result.members {
             if !design_specs.contains(&m.spec.design) {
@@ -1626,6 +1657,45 @@ mod tests {
         let reloaded = ScenarioSetRun::from_result(run.result.clone()).unwrap();
         assert!(reloaded.design_for(&DesignSpec::Paper).is_ok());
         assert_eq!(reloaded.result, run.result);
+    }
+
+    #[test]
+    fn from_result_refuses_reordered_suite_products() {
+        // A decodable result whose suite products are out of Table 1
+        // order must be refused at reload, naming member and field —
+        // not panic later in the paper adapters.
+        let run = crate::paper::table1_set(1_000, 7).run().unwrap();
+        let worst = run
+            .result
+            .members
+            .iter()
+            .position(|m| m.spec.name == "table1@worst")
+            .unwrap();
+        assert!(ScenarioSetRun::from_result(run.result.clone()).is_ok());
+
+        let mut swapped = run.result.clone();
+        let Some(LoopData::Suite(data)) = &mut swapped.members[worst].closed_loop else {
+            panic!("table1@worst carries a suite loop");
+        };
+        data.segments.swap(0, 1);
+        let err = ScenarioSetRun::from_result(swapped).unwrap_err();
+        assert!(
+            err.contains("table1@worst") && err.contains("segments"),
+            "{err}"
+        );
+
+        let mut reversed = run.result;
+        let Some(SweepData::Bank(bank)) = &mut reversed.members[worst].sweep else {
+            panic!("table1@worst carries a summary bank");
+        };
+        let mut per: Vec<_> = bank.per_benchmark().to_vec();
+        per.reverse();
+        *bank = SummaryBank::from_per_benchmark(per);
+        let err = ScenarioSetRun::from_result(reversed).unwrap_err();
+        assert!(
+            err.contains("table1@worst") && err.contains("bank"),
+            "{err}"
+        );
     }
 
     #[test]

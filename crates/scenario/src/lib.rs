@@ -73,7 +73,7 @@ mod spec;
 
 pub use aggregate::{CampaignDigest, DigestBuilder, MemberMetrics, QuantileSketch, ScalarAgg};
 pub use compile::PoolChunks;
-pub use exec::{replay_fanin, ScenarioSet, ScenarioSetRun};
+pub use exec::{check_env_knobs, replay_fanin, ScenarioSet, ScenarioSetRun};
 pub use pool::worker_count;
 pub use record::{CampaignRecording, Divergence, MemberRecord, ReplayReport};
 pub use result::{LoopData, MemberResult, ScenarioSetResult, StreamRun, SweepData};

@@ -123,9 +123,8 @@ pub fn fig10_set(cycles: u64, seed: u64) -> ScenarioSet {
 
 /// The whole `repro all` figure pipeline as one set. Member order puts
 /// the typical-corner loop first so the shared bank rides it — the
-/// executor then plans exactly the three concurrent heavy jobs the old
-/// hand-wired `collect_shared_inputs` ran: paper/typical (+histogram),
-/// paper/worst, modified/worst (+histogram).
+/// executor then plans three concurrent heavy jobs: paper/typical
+/// (+histogram), paper/worst, modified/worst (+histogram).
 #[must_use]
 pub fn paper_all_set(cycles: u64, seed: u64) -> ScenarioSet {
     let mut members = vec![paper_member(

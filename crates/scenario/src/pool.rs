@@ -30,29 +30,40 @@ use std::sync::{Condvar, Mutex};
 /// Resolves the pool's worker count: an explicit request (the
 /// `--threads=N` flag) wins over the `RAZORBUS_THREADS` environment
 /// variable, which wins over the machine's available parallelism.
-/// Unparsable or zero env values fall through to the hardware default;
-/// the result is always at least 1.
+/// The result is always at least 1.
+///
+/// # Panics
+///
+/// Panics, naming the knob, when no worker count is requested and
+/// `RAZORBUS_THREADS` is set to anything but a positive integer;
+/// [`crate::check_env_knobs`] refuses that value first on every
+/// executor entry point.
 pub fn worker_count(explicit: Option<usize>) -> usize {
     resolve(
         explicit,
-        std::env::var("RAZORBUS_THREADS").ok().as_deref(),
+        || threads_knob().unwrap_or_else(|e| panic!("{e}")),
         || std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
     )
+}
+
+/// The `RAZORBUS_THREADS` value: unset is `None`, and a set value must
+/// be a positive integer (`0` is refused like `--threads=0`).
+pub(crate) fn threads_knob() -> Result<Option<usize>, String> {
+    razorbus_core::env_knob("RAZORBUS_THREADS", 1)
 }
 
 /// [`worker_count`] with the environment and hardware queries factored
 /// out, so the precedence chain is testable without mutating process
 /// globals.
-fn resolve(explicit: Option<usize>, env: Option<&str>, hardware: impl FnOnce() -> usize) -> usize {
-    if let Some(n) = explicit {
-        return n.max(1);
-    }
-    if let Some(n) = env.and_then(|s| s.trim().parse::<usize>().ok()) {
-        if n > 0 {
-            return n;
-        }
-    }
-    hardware().max(1)
+fn resolve(
+    explicit: Option<usize>,
+    env: impl FnOnce() -> Option<usize>,
+    hardware: impl FnOnce() -> usize,
+) -> usize {
+    explicit
+        .map(|n| n.max(1))
+        .or_else(env)
+        .unwrap_or_else(|| hardware().max(1))
 }
 
 /// Handle the pool hands each job for scheduling continuations.
@@ -192,17 +203,20 @@ mod tests {
 
     #[test]
     fn worker_count_precedence_is_flag_env_hardware() {
-        // Explicit beats everything, including a set env var.
-        assert_eq!(resolve(Some(3), Some("8"), || 16), 3);
-        assert_eq!(resolve(Some(0), None, || 16), 1, "explicit 0 clamps");
-        // Env beats hardware when parsable and positive.
-        assert_eq!(resolve(None, Some("8"), || 16), 8);
-        assert_eq!(resolve(None, Some(" 2 "), || 16), 2);
-        // Garbage or zero env falls through to hardware.
-        assert_eq!(resolve(None, Some("0"), || 16), 16);
-        assert_eq!(resolve(None, Some("lots"), || 16), 16);
-        assert_eq!(resolve(None, None, || 16), 16);
-        assert_eq!(resolve(None, None, || 0), 1, "hardware floor");
+        // Explicit beats everything, and never reads the env var.
+        let unread = || -> Option<usize> { panic!("env read despite an explicit count") };
+        assert_eq!(resolve(Some(3), unread, || 16), 3);
+        assert_eq!(resolve(Some(0), || None, || 16), 1, "explicit 0 clamps");
+        // Env beats hardware when set.
+        assert_eq!(resolve(None, || Some(8), || 16), 8);
+        // Unset env falls through to hardware.
+        assert_eq!(resolve(None, || None, || 16), 16);
+        assert_eq!(resolve(None, || None, || 0), 1, "hardware floor");
+        // Garbage or zero env is refused by name, never read as unset.
+        for bad in ["0", "lots", ""] {
+            let err = razorbus_core::parse_knob::<usize>("RAZORBUS_THREADS", Ok(bad.into()), 1);
+            assert!(err.unwrap_err().contains("RAZORBUS_THREADS"), "{bad}");
+        }
     }
 
     #[test]

@@ -225,7 +225,7 @@ impl CampaignRecording {
             tool_version: TOOL_VERSION.to_string(),
             format_version: razorbus_artifact::CONTAINER_VERSION,
             share_compiled,
-            compile_budget_bytes: compile_budget(),
+            compile_budget_bytes: compile_budget()?,
             set: set.clone(),
             members,
             digest,

@@ -29,6 +29,18 @@ fn sample_result() -> &'static ScenarioSetResult {
     })
 }
 
+/// One executed `paper-all` set — the shape `repro all --save-result`
+/// writes: suite closed loops and summary banks on two designs.
+fn paper_all_result() -> &'static ScenarioSetResult {
+    static RESULT: OnceLock<ScenarioSetResult> = OnceLock::new();
+    RESULT.get_or_init(|| {
+        razorbus_scenario::paper::paper_all_set(1_000, 7)
+            .run()
+            .expect("valid spec")
+            .result
+    })
+}
+
 /// One executed aggregate-mode set (two seeds folded into a campaign
 /// digest), shared across cases — the result-with-digest shape.
 fn aggregate_result() -> &'static ScenarioSetResult {
@@ -184,10 +196,12 @@ proptest! {
     }
 
     /// A full executed result set (loops, samples, banks) round-trips
-    /// bit-exactly in both encodings.
+    /// bit-exactly in both encodings — the governor shootout and the
+    /// `paper-all` set alike.
     #[test]
     fn scenario_results_round_trip(_nonce in 0u8..4) {
         assert_round_trip(sample_result());
+        assert_round_trip(paper_all_result());
     }
 
     /// A result set carrying a campaign digest (aggregate-mode members)
