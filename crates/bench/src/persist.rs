@@ -118,6 +118,21 @@ mod tests {
     }
 
     #[test]
+    fn shared_inputs_round_trip_both_encodings() {
+        // The shared inputs persist inside the `scenario-result`
+        // artifact; either encoding must hand them back unchanged.
+        let cold = small_run();
+        let inputs = ReproSummaries::from_scenario_run(&cold, 1_000, 7).unwrap();
+        for encoding in [Encoding::Binary, Encoding::Json] {
+            let bytes = encode(ScenarioSetResult::KIND, encoding, &cold.result).unwrap();
+            let result: ScenarioSetResult = decode(ScenarioSetResult::KIND, &bytes).unwrap();
+            let warm = ScenarioSetRun::from_result(result).unwrap();
+            let back = ReproSummaries::from_scenario_run(&warm, 1_000, 7).unwrap();
+            assert_eq!(back, inputs, "{encoding:?} round trip drifted");
+        }
+    }
+
+    #[test]
     fn figures_from_reloaded_inputs_are_identical() {
         // `repro all --load-result` must print what a cold run prints.
         let cold = small_run();
