@@ -26,9 +26,10 @@ pub mod report;
 /// # Errors
 ///
 /// Names the knob and its value when it is set to anything but a
-/// non-negative integer — a typo must not silently run the default.
+/// positive integer — a typo must not silently run the default, and a
+/// zero-cycle run has nothing to simulate.
 pub fn cycles_from_env(default: u64) -> Result<u64, String> {
-    Ok(razorbus_core::env_knob("RAZORBUS_CYCLES", 0)?.unwrap_or(default))
+    Ok(razorbus_core::env_knob("RAZORBUS_CYCLES", 1)?.unwrap_or(default))
 }
 
 /// Seed used across the harness so reproduction runs are comparable.

@@ -31,17 +31,20 @@ fn assert_refused(out: &Output, needle: &str, case: &str) {
 
 #[test]
 fn malformed_replay_fanin_exits_2_naming_the_knob() {
-    // Every integer knob, including the `=0` that THREADS and
-    // COMPILE_CHUNK refuse like `--threads=0`.
+    // Every integer knob, including the `=0` that CYCLES, THREADS and
+    // COMPILE_CHUNK refuse like `--threads=0`, and a budget whose byte
+    // count overflows (2^44 MiB is 2^64 bytes).
     for (knob, bad) in [
         ("RAZORBUS_REPLAY_FANIN", "-3"),
         ("RAZORBUS_REPLAY_FANIN", "abc"),
         ("RAZORBUS_CYCLES", "abc"),
+        ("RAZORBUS_CYCLES", "0"),
         ("RAZORBUS_THREADS", "x"),
         ("RAZORBUS_THREADS", "0"),
         ("RAZORBUS_COMPILE_CHUNK", "abc"),
         ("RAZORBUS_COMPILE_CHUNK", "0"),
         ("RAZORBUS_COMPILE_BUDGET_MB", "lots"),
+        ("RAZORBUS_COMPILE_BUDGET_MB", "17592186044416"),
     ] {
         // The later entry wins, so the `RAZORBUS_CYCLES` case overrides.
         let out = repro(
@@ -50,6 +53,10 @@ fn malformed_replay_fanin_exits_2_naming_the_knob() {
         );
         assert_refused(&out, knob, &format!("{knob}={bad}"));
     }
+    // A zero-cycle run is refused before the paper drivers print a
+    // banner or divide by the cycle count.
+    let out = repro(&["scaling"], &[("RAZORBUS_CYCLES", "0")]);
+    assert_refused(&out, "RAZORBUS_CYCLES", "scaling at RAZORBUS_CYCLES=0");
 }
 
 #[test]

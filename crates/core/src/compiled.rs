@@ -27,15 +27,15 @@ use crate::design::DvsBusDesign;
 use crate::summary::{bin_of, bucket_of, N_BUCKETS, N_CEFF_BINS};
 use razorbus_traces::TraceSource;
 use razorbus_wire::CycleAnalysis;
-use std::sync::Mutex;
 
-/// Default cycles per parallel-compile chunk.
+/// Default cycles per chunked-compile chunk.
 const DEFAULT_COMPILE_CHUNK: usize = 65_536;
 
-/// Cycles per chunk for the parallel compile pipeline
+/// Cycles per chunk for the chunked compile pipeline
 /// (`RAZORBUS_COMPILE_CHUNK`, default 64k). Each chunk is one
 /// independent analysis sub-job; smaller chunks expose more parallelism
-/// at more per-chunk overhead.
+/// at more per-chunk overhead, and a stream no longer than one chunk
+/// compiles in one streaming pass.
 ///
 /// # Panics
 ///
@@ -55,44 +55,6 @@ pub fn compile_chunk_cycles() -> usize {
 /// positive integer.
 pub fn compile_chunk_knob() -> Result<usize, String> {
     Ok(crate::env_knob("RAZORBUS_COMPILE_CHUNK", 1)?.unwrap_or(DEFAULT_COMPILE_CHUNK))
-}
-
-/// Executes the independent per-chunk analysis jobs of a parallel
-/// compile ([`CompiledTrace::compile_with`]). `razorbus-core` stays
-/// thread-pool-free: callers inject whatever execution resource they
-/// have — [`SerialChunks`] here, the scenario executor's work-stealing
-/// pool downstream.
-pub trait ChunkRunner {
-    /// Runs every job exactly once, in any order, possibly
-    /// concurrently, returning only after all of them finish. Jobs may
-    /// borrow from the caller's stack, so implementations must not
-    /// outlive the call (scoped threads are fine, detached ones are
-    /// not).
-    fn run_chunks<'a>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'a>>);
-
-    /// Whether this runner executes chunk jobs strictly one at a time
-    /// on the calling thread. An opt-in fast-path hint:
-    /// [`CompiledTrace::compile_chunked`] gains nothing from the
-    /// drain-then-chunk pipeline on a single-threaded runner, so it
-    /// routes to the streaming single-pass [`CompiledTrace::compile`]
-    /// instead (bit-identical — pinned by the chunk differentials).
-    /// [`SerialChunks`] deliberately keeps the default `false`: its job
-    /// is exercising the chunk pipeline itself in tests.
-    fn single_threaded(&self) -> bool {
-        false
-    }
-}
-
-/// The no-parallelism [`ChunkRunner`]: runs chunk jobs in order on the
-/// calling thread.
-pub struct SerialChunks;
-
-impl ChunkRunner for SerialChunks {
-    fn run_chunks<'a>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'a>>) {
-        for job in jobs {
-            job();
-        }
-    }
 }
 
 /// The classification of one contiguous cycle range, produced by
@@ -249,7 +211,12 @@ impl CompiledTrace {
     /// Drains `cycles` words from `trace` through `design`'s bus —
     /// exactly the word protocol of [`crate::BusSimulator::new`] (the
     /// first word primes `prev`) — and records each cycle's
-    /// classification.
+    /// classification, in one streaming pass.
+    ///
+    /// The chunked pipeline ([`CompiledTrace::drain_words`] →
+    /// [`CompiledTrace::analyze_chunk`] → [`CompiledTrace::from_chunks`],
+    /// which the scenario executor spreads over its pool) is pinned
+    /// bit-identical to this pass at every chunk size.
     ///
     /// # Panics
     ///
@@ -275,79 +242,7 @@ impl CompiledTrace {
         Self::from_arrays(design, cycles, toggles, bins, switched)
     }
 
-    /// Parallel compile with the chunk size from
-    /// [`compile_chunk_cycles`] (`RAZORBUS_COMPILE_CHUNK`): drains the
-    /// trace serially (RNG streams stay sequential, so seeds produce
-    /// the same words), then classifies fixed-size cycle chunks as
-    /// independent jobs on `runner`. Bit-identical to
-    /// [`CompiledTrace::compile`] for every chunk size and runner —
-    /// each cycle's classification is a pure function of its
-    /// `(prev, cur)` word pair, and assembly preserves cycle order —
-    /// pinned by differential and property tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cycles == 0`.
-    #[must_use]
-    pub fn compile_with<S: TraceSource>(
-        design: &DvsBusDesign,
-        trace: &mut S,
-        cycles: u64,
-        runner: &dyn ChunkRunner,
-    ) -> Self {
-        Self::compile_chunked(design, trace, cycles, compile_chunk_cycles(), runner)
-    }
-
-    /// [`CompiledTrace::compile_with`] with an explicit chunk size —
-    /// the testing/benching entry point (no env coupling).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cycles == 0` or `chunk_cycles == 0`.
-    #[must_use]
-    pub fn compile_chunked<S: TraceSource>(
-        design: &DvsBusDesign,
-        trace: &mut S,
-        cycles: u64,
-        chunk_cycles: usize,
-        runner: &dyn ChunkRunner,
-    ) -> Self {
-        assert!(chunk_cycles > 0, "need at least one cycle per chunk");
-        if runner.single_threaded() {
-            // No parallelism to exploit: skip the word buffer and chunk
-            // bookkeeping entirely and stream the compile in one pass.
-            return Self::compile(design, trace, cycles);
-        }
-        let words = Self::drain_words(trace, cycles);
-        let n = words.len() - 1;
-        let n_chunks = n.div_ceil(chunk_cycles);
-        let slots: Vec<Mutex<Option<CompiledChunk>>> =
-            (0..n_chunks).map(|_| Mutex::new(None)).collect();
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..n_chunks)
-            .map(|k| {
-                let start = k * chunk_cycles;
-                let len = chunk_cycles.min(n - start);
-                let words = &words;
-                let slot = &slots[k];
-                Box::new(move || {
-                    let chunk = Self::analyze_chunk(design, words, start, len);
-                    *slot.lock().expect("chunk slot poisoned") = Some(chunk);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        runner.run_chunks(jobs);
-        let chunks = slots
-            .into_iter()
-            .map(|s| {
-                s.into_inner()
-                    .expect("chunk slot poisoned")
-                    .expect("runner dropped a chunk job")
-            })
-            .collect();
-        Self::from_chunks(design, cycles, chunks)
-    }
-
-    /// Phase one of the parallel compile: drains `cycles + 1` words
+    /// Phase one of the chunked compile: drains `cycles + 1` words
     /// from `trace` — the priming `prev` word plus one per cycle,
     /// exactly the word protocol of [`CompiledTrace::compile`] — into a
     /// buffer the analysis chunks index into (`words[c]`/`words[c + 1]`
@@ -367,7 +262,7 @@ impl CompiledTrace {
         words
     }
 
-    /// Phase two of the parallel compile: classifies the `len` cycles
+    /// Phase two of the chunked compile: classifies the `len` cycles
     /// starting at `start` against `design`'s bus. Pure in
     /// `(design, words, start, len)` — safe to run chunks in any order
     /// on any thread. Each chunk gets its own whole-cycle cache
@@ -401,7 +296,7 @@ impl CompiledTrace {
         }
     }
 
-    /// Final phase of the parallel compile: concatenates slot-ordered
+    /// Final phase of the chunked compile: concatenates slot-ordered
     /// chunks into the struct-of-arrays layout. `chunks` must cover
     /// exactly `cycles` cycles in cycle order.
     ///
@@ -566,12 +461,29 @@ mod tests {
     use super::*;
     use razorbus_traces::Benchmark;
 
+    /// The chunked pipeline the scenario executor runs, serially:
+    /// drain, classify `chunk`-cycle ranges, assemble in cycle order.
+    fn chunked<S: TraceSource>(
+        design: &DvsBusDesign,
+        trace: &mut S,
+        cycles: u64,
+        chunk: usize,
+    ) -> CompiledTrace {
+        let words = CompiledTrace::drain_words(trace, cycles);
+        let n = words.len() - 1;
+        let chunks = (0..n)
+            .step_by(chunk)
+            .map(|start| CompiledTrace::analyze_chunk(design, &words, start, chunk.min(n - start)))
+            .collect();
+        CompiledTrace::from_chunks(design, cycles, chunks)
+    }
+
     #[test]
     fn chunked_compile_matches_serial_bitwise() {
-        // The parallel pipeline's contract: any chunk size — one cycle
+        // The chunk pipeline's contract: any chunk size — one cycle
         // per chunk, a prime that never divides the cycle count, the
         // default, larger than the whole trace — assembles to exactly
-        // the serial compile, across designs and generator families
+        // the streaming compile, across designs and generator families
         // (benchmark mixtures, adversarial storm traffic, uniform
         // random). PartialEq covers every array element and stamp.
         let cycles = 4_096u64;
@@ -581,55 +493,20 @@ mod tests {
         ] {
             for chunk in [1usize, 7, 65_536, 5_000] {
                 let serial = CompiledTrace::compile(&design, &mut Benchmark::Gap.trace(11), cycles);
-                let chunked = CompiledTrace::compile_chunked(
-                    &design,
-                    &mut Benchmark::Gap.trace(11),
-                    cycles,
-                    chunk,
-                    &SerialChunks,
-                );
-                assert_eq!(serial, chunked, "Gap, chunk {chunk}");
+                let split = chunked(&design, &mut Benchmark::Gap.trace(11), cycles, chunk);
+                assert_eq!(serial, split, "Gap, chunk {chunk}");
 
-                let serial = CompiledTrace::compile(
-                    &design,
-                    &mut razorbus_traces::AdversarialCrosstalk::new(5, 0.9),
-                    cycles,
-                );
-                let chunked = CompiledTrace::compile_chunked(
-                    &design,
-                    &mut razorbus_traces::AdversarialCrosstalk::new(5, 0.9),
-                    cycles,
-                    chunk,
-                    &SerialChunks,
-                );
-                assert_eq!(serial, chunked, "storm, chunk {chunk}");
+                let storm = || razorbus_traces::AdversarialCrosstalk::new(5, 0.9);
+                let serial = CompiledTrace::compile(&design, &mut storm(), cycles);
+                let split = chunked(&design, &mut storm(), cycles, chunk);
+                assert_eq!(serial, split, "storm, chunk {chunk}");
 
-                let serial = CompiledTrace::compile(
-                    &design,
-                    &mut razorbus_traces::RandomWords::new(17),
-                    cycles,
-                );
-                let chunked = CompiledTrace::compile_chunked(
-                    &design,
-                    &mut razorbus_traces::RandomWords::new(17),
-                    cycles,
-                    chunk,
-                    &SerialChunks,
-                );
-                assert_eq!(serial, chunked, "random, chunk {chunk}");
+                let random = || razorbus_traces::RandomWords::new(17);
+                let serial = CompiledTrace::compile(&design, &mut random(), cycles);
+                let split = chunked(&design, &mut random(), cycles, chunk);
+                assert_eq!(serial, split, "random, chunk {chunk}");
             }
         }
-    }
-
-    #[test]
-    fn compile_with_reads_the_chunk_knob_default() {
-        // compile_with (env-default chunk size) must agree with serial
-        // compile like every other chunking.
-        let d = DvsBusDesign::paper_default();
-        let serial = CompiledTrace::compile(&d, &mut Benchmark::Swim.trace(9), 3_000);
-        let auto =
-            CompiledTrace::compile_with(&d, &mut Benchmark::Swim.trace(9), 3_000, &SerialChunks);
-        assert_eq!(serial, auto);
     }
 
     #[test]

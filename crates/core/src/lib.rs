@@ -44,10 +44,7 @@ mod lane;
 mod sim;
 mod summary;
 
-pub use compiled::{
-    compile_chunk_cycles, compile_chunk_knob, ChunkRunner, CompiledChunk, CompiledTrace,
-    SerialChunks,
-};
+pub use compiled::{compile_chunk_cycles, compile_chunk_knob, CompiledChunk, CompiledTrace};
 pub use design::DvsBusDesign;
 pub use knob::{env_knob, parse_knob};
 pub use sim::{BusSimulator, FusedOp, SimReport, VoltageSample};

@@ -5,7 +5,7 @@
 //! exercised at randomized cycle counts and chunk sizes.
 
 use proptest::prelude::*;
-use razorbus_core::{CompiledTrace, DvsBusDesign, SerialChunks};
+use razorbus_core::{CompiledTrace, DvsBusDesign};
 use razorbus_traces::{RandomWords, TraceRecording, TraceSource};
 
 use std::sync::OnceLock;
@@ -29,6 +29,23 @@ fn record(seed: u64, cycles: u64) -> TraceRecording {
     )
 }
 
+/// The executor's chunked compile, run serially: drain, classify
+/// `chunk`-cycle ranges, assemble in cycle order.
+fn chunked(
+    design: &DvsBusDesign,
+    recording: &TraceRecording,
+    cycles: u64,
+    chunk: usize,
+) -> CompiledTrace {
+    let words = CompiledTrace::drain_words(&mut recording.replay(), cycles);
+    let n = words.len() - 1;
+    let chunks = (0..n)
+        .step_by(chunk)
+        .map(|start| CompiledTrace::analyze_chunk(design, &words, start, chunk.min(n - start)))
+        .collect();
+    CompiledTrace::from_chunks(design, cycles, chunks)
+}
+
 proptest! {
     /// Chunked ≡ serial at arbitrary (cycles, chunk) combinations —
     /// including chunk = 1 (every cycle a seam), chunks that divide the
@@ -40,13 +57,7 @@ proptest! {
         let recording = record(seed, cycles);
         for (name, design) in designs() {
             let serial = CompiledTrace::compile(design, &mut recording.replay(), cycles);
-            let chunked = CompiledTrace::compile_chunked(
-                design,
-                &mut recording.replay(),
-                cycles,
-                chunk,
-                &SerialChunks,
-            );
+            let chunked = chunked(design, &recording, cycles, chunk);
             prop_assert_eq!(&serial, &chunked, "{}: cycles {}, chunk {}", name, cycles, chunk);
         }
     }

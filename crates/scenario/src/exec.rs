@@ -21,9 +21,10 @@
 //! comes from `--threads` / `RAZORBUS_THREADS` / available parallelism,
 //! compile jobs are scheduled ahead of loop and summary jobs, and each
 //! finished compile spawns its replay continuations onto the finishing
-//! worker's own deque, where idle workers steal them. Suite compiles
-//! and suite summary passes split into one job per benchmark with a
-//! slot-ordered merge (the last finisher assembles in
+//! worker's own deque, where idle workers steal them. Every workload
+//! is a list of streams — a suite is ten, a single benchmark or a
+//! recipe one — and compiles and summary passes run one job per
+//! stream with a slot-ordered merge (the last finisher assembles in
 //! [`razorbus_traces::Benchmark::ALL`] order), so a small campaign's
 //! parallelism is no longer capped at its member count. Every job
 //! writes into a pre-assigned result slot, so scheduling order never
@@ -51,7 +52,7 @@ use razorbus_core::{
 };
 use razorbus_ctrl::{BoxedGovernor, GovernorSpec};
 use razorbus_process::PvtCorner;
-use razorbus_traces::{Benchmark, TraceSource};
+use razorbus_traces::{Benchmark, PhaseModulated, TraceSource};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
@@ -112,67 +113,99 @@ struct LoopProduct {
     sweep: Option<SweepData>,
 }
 
-/// A workload compiled against its design: the governor-independent
-/// per-cycle classification, shared by reference across every loop job
-/// over the same (design, workload, cycles, seed).
-#[derive(Clone)]
-enum CompiledWorkload {
-    /// One compiled trace per benchmark, [`razorbus_traces::Benchmark::ALL`] order.
-    Suite(Vec<Arc<CompiledTrace>>),
-    /// A single compiled stream (one benchmark or a synthetic recipe).
-    Stream(Arc<CompiledTrace>),
+/// The streams of a workload: the ten suite programs in
+/// [`Benchmark::ALL`] order, or the one benchmark or recipe stream.
+fn stream_count(workload: &WorkloadSpec) -> usize {
+    match workload {
+        WorkloadSpec::Suite => Benchmark::ALL.len(),
+        WorkloadSpec::Single(_) | WorkloadSpec::Recipe(_) => 1,
+    }
 }
 
-/// A chunked compile in flight: the serially drained word buffer plus
-/// the slot-ordered chunk assembly. `Compile`/`CompileBench` handlers
-/// build one of these when a stream spans more than one chunk, spawn a
-/// [`Job::CompileChunk`] per chunk, and the last chunk to finish
-/// assembles the trace and completes the compile exactly as the
-/// unchunked path would.
+/// One opened workload stream. Benchmark streams stay statically
+/// dispatched and unboxed, because their generator state is read on
+/// every word of the compile and live loops; recipe generators come
+/// boxed from [`crate::TrafficRecipe::build_trace`]. A job holds one
+/// `Stream` on its stack, so the large variant costs nothing.
+#[allow(clippy::large_enum_variant)]
+enum Stream {
+    Benchmark(PhaseModulated),
+    Recipe(Box<dyn TraceSource + Send>),
+}
+
+impl TraceSource for Stream {
+    #[inline]
+    fn next_word(&mut self) -> u32 {
+        match self {
+            Self::Benchmark(trace) => trace.next_word(),
+            Self::Recipe(trace) => trace.next_word(),
+        }
+    }
+}
+
+/// Opens stream `b` (below [`stream_count`]) of `workload` at `seed`.
+/// The executor opens every loop and summary job's stream once while
+/// planning, so a malformed recipe is refused before the pool starts
+/// and reopening it inside a job cannot fail.
+///
+/// # Errors
+///
+/// Propagates a malformed recipe's description.
+fn open_stream(workload: &WorkloadSpec, seed: u64, b: usize) -> Result<Stream, String> {
+    Ok(match workload {
+        WorkloadSpec::Suite => Stream::Benchmark(Benchmark::ALL[b].trace(seed)),
+        WorkloadSpec::Single(benchmark) => Stream::Benchmark(benchmark.trace(seed)),
+        WorkloadSpec::Recipe(recipe) => Stream::Recipe(recipe.build_trace(seed)?),
+    })
+}
+
+/// Reopens a stream [`open_stream`] already accepted at planning.
+fn reopen_stream(workload: &WorkloadSpec, seed: u64, b: usize) -> Stream {
+    open_stream(workload, seed, b).expect("streams are opened once while planning")
+}
+
+/// A chunked compile of one stream in flight: the serially drained
+/// word buffer plus the slot-ordered chunk assembly. A
+/// [`Job::Compile`] builds one of these when it takes the chunked
+/// path, spawns a [`Job::CompileChunk`] per chunk, and the last chunk
+/// to finish assembles the trace and completes the stream exactly as
+/// the one-pass compile would.
 struct ChunkJob {
     /// Index into the plan's `compile_jobs`.
     c: usize,
-    /// Suite benchmark slot for [`Job::CompileBench`] parents, `None`
-    /// for single-stream compiles.
-    bench: Option<usize>,
+    /// Stream slot within the compile's workload.
+    b: usize,
     /// `cycles + 1` words: cycle `k` reads `(words[k], words[k + 1])`.
     words: Vec<u32>,
-    /// Cycles per chunk (every chunk but the last).
-    chunk_cycles: usize,
     /// Per-chunk assembly slots, filled in any order, taken whole by
     /// the last finisher in chunk (= cycle) order.
     slots: Mutex<BenchSlots<CompiledChunk>>,
 }
 
 /// One schedulable unit of a campaign, indexing into the plan's job
-/// vectors. The initial pool feed lists every compile first (suite
-/// compiles split per benchmark), then the live (unshared) `Loop`s and
-/// the summary passes (suite summaries likewise split); `Replay`s are
-/// continuations a finished compile spawns for each waiting loop index,
-/// and `CompileChunk`s are continuations a compile's serial drain
-/// spawns for each cycle chunk — both interleave with every other job
-/// on the pool.
+/// vectors. The initial pool feed lists every compile stream first,
+/// then the live (unshared) `Loop`s and the summary streams;
+/// `Replay`s are continuations a finished compile spawns for each
+/// waiting loop index, and `CompileChunk`s are continuations a
+/// compile's serial drain spawns for each cycle chunk — both
+/// interleave with every other job on the pool.
 enum Job {
-    /// Drain `compile_jobs[i]`'s single-stream workload and spawn its
-    /// analysis chunks (or finish directly when one chunk covers it).
-    Compile(usize),
-    /// Drain benchmark `b` of suite compile job `c` and spawn its
-    /// analysis chunks; the last bench to finish assembles the suite
-    /// and spawns its replays.
-    CompileBench(usize, usize),
+    /// Compile stream `b` of `compile_jobs[c]`, in one pass or as
+    /// spawned chunks; the last stream to finish assembles the
+    /// workload and spawns its replays.
+    Compile(usize, usize),
     /// Analyze chunk `k` of an in-flight chunked compile; the last
-    /// chunk to finish assembles the trace and completes the compile.
+    /// chunk to finish assembles the trace and completes its stream.
     CompileChunk(Arc<ChunkJob>, usize),
     /// Run `loop_jobs[i]` against the live trace.
     Loop(usize),
-    /// Run single-stream `summary_jobs[i]` (a histogram-only pass no
-    /// loop provides).
-    Summary(usize),
-    /// Summarize benchmark `b` of suite summary job `s`; the last
-    /// bench to finish merges the bank in `Benchmark::ALL` order.
-    SummaryBench(usize, usize),
-    /// Replay `loop_jobs[i]` against its shared compiled workload.
-    Replay(usize, CompiledWorkload),
+    /// Summarize stream `b` of `summary_jobs[s]` (a histogram-only
+    /// pass no loop provides); the last stream to finish assembles the
+    /// sweep product.
+    Summary(usize, usize),
+    /// Replay `loop_jobs[i]` against its shared compiled streams (one
+    /// per benchmark of a suite, else one).
+    Replay(usize, Vec<Arc<CompiledTrace>>),
     /// Judge a whole group of open-loop loop jobs in one fused pass
     /// over their shared compiled stream
     /// ([`CompiledTrace::replay_fused`]).
@@ -200,12 +233,12 @@ enum ReplayPlan {
 
 /// Partitions one compile's waiting loop indices into replay groups.
 ///
-/// A loop job is fusable when fusing is enabled, the workload is a
-/// single stream (suite replays thread one governor across benchmarks),
-/// its governor is [`GovernorSpec::Fixed`] and it carries no histogram
-/// rider. Fusable jobs group by sampling window in replayer order;
-/// `fanin > 0` caps the group width (first-fit, so a capped group
-/// splits deterministically). Everything else replays solo, and a
+/// A loop job is fusable when the workload is a single stream (suite
+/// replays thread one governor across benchmarks), its governor is
+/// [`GovernorSpec::Fixed`] and it carries no histogram rider.
+/// Fusable jobs group by sampling window in replayer order; `fanin > 0`
+/// caps the group width (first-fit, so a capped group splits
+/// deterministically). Everything else replays solo, and a
 /// fusable singleton still takes the fused path — one code path to
 /// trust, whatever the group width.
 fn plan_replay_groups(
@@ -213,7 +246,6 @@ fn plan_replay_groups(
     loop_jobs: &[LoopKey],
     loop_hist: &[bool],
     stream: bool,
-    fuse: bool,
     fanin: usize,
 ) -> Vec<ReplayPlan> {
     let mut plans = Vec::new();
@@ -221,7 +253,7 @@ fn plan_replay_groups(
     for &i in replayers {
         let job = &loop_jobs[i];
         let open_loop = matches!(job.controller.governor, GovernorSpec::Fixed(_));
-        if !(fuse && stream && open_loop && !loop_hist[i]) {
+        if !(stream && open_loop && !loop_hist[i]) {
             plans.push(ReplayPlan::Solo(i));
             continue;
         }
@@ -280,19 +312,11 @@ pub fn check_env_knobs() -> Result<(), String> {
     Ok(())
 }
 
-/// Whether fused replays are enabled (`RAZORBUS_NO_FUSED` unset, empty
-/// or `0`). `repro --no-fused` sets the variable, forcing every member
-/// onto its solo replay — the comparison baseline CI `cmp`s against the
-/// fused default.
-pub(crate) fn fused_replays_enabled() -> bool {
-    !matches!(std::env::var("RAZORBUS_NO_FUSED"), Ok(v) if !v.is_empty() && v != "0")
-}
-
-/// Slot-ordered assembly of a suite's per-benchmark products: each
-/// finishing bench job fills its pre-assigned slot, and the **last**
-/// finisher takes the completed list — always in
-/// [`Benchmark::ALL`] order, so the merged value is bit-identical to
-/// the old serial pass regardless of completion order.
+/// Slot-ordered assembly of per-stream (or per-chunk) products: each
+/// finishing job fills its pre-assigned slot, and the **last** finisher
+/// takes the completed list — always in slot order ([`Benchmark::ALL`]
+/// for a suite), so the merged value is bit-identical to a serial pass
+/// regardless of completion order.
 struct BenchSlots<T> {
     slots: Vec<Option<T>>,
     remaining: usize,
@@ -331,11 +355,7 @@ enum SweepSource {
 
 /// One loop job's result slot: `None` until the job finishes; the
 /// product itself is kept only for members that materialize it.
-type LoopSlot = Option<Result<Option<LoopProduct>, String>>;
-
-/// Per-benchmark assembly slots for one suite job (`None` for stream
-/// jobs, which produce their single result in one piece).
-type SuiteSlots<T> = Option<Mutex<BenchSlots<T>>>;
+type LoopSlot = Option<Option<LoopProduct>>;
 
 /// Default ceiling (bytes) on the resident size of shared compiled
 /// traces; above it the executor falls back to direct (live) runs so a
@@ -348,19 +368,20 @@ const DEFAULT_COMPILE_BUDGET: u64 = 768 * 1024 * 1024;
 /// [`CompiledTrace::memory_bytes`] by a test.
 const COMPILED_BYTES_PER_CYCLE: u64 = 11;
 
-/// The compile budget in bytes, refusing a malformed knob by name.
+/// The compile budget in bytes, refusing a malformed knob — or one
+/// whose byte count overflows — by name.
 pub(crate) fn compile_budget() -> Result<u64, String> {
-    Ok(env_knob("RAZORBUS_COMPILE_BUDGET_MB", 0)?
-        .map_or(DEFAULT_COMPILE_BUDGET, |mb: u64| mb * 1024 * 1024))
+    match env_knob("RAZORBUS_COMPILE_BUDGET_MB", 0u64)? {
+        None => Ok(DEFAULT_COMPILE_BUDGET),
+        Some(mb) => mb.checked_mul(1024 * 1024).ok_or_else(|| {
+            format!("RAZORBUS_COMPILE_BUDGET_MB={mb} overflows a 64-bit byte count")
+        }),
+    }
 }
 
 /// Estimated resident bytes of compiling `key`'s workload.
 fn compiled_footprint(key: &SummaryKey) -> u64 {
-    let streams = match &key.workload {
-        WorkloadSpec::Suite => razorbus_traces::Benchmark::ALL.len() as u64,
-        WorkloadSpec::Single(_) | WorkloadSpec::Recipe(_) => 1,
-    };
-    streams * key.cycles * COMPILED_BYTES_PER_CYCLE
+    stream_count(&key.workload) as u64 * key.cycles * COMPILED_BYTES_PER_CYCLE
 }
 
 /// The compile plan: a (design, workload, cycles, seed) analyzed by two
@@ -509,23 +530,20 @@ impl ScenarioSet {
             workers,
             compile_chunk_cycles(),
             None,
-            None,
         )
     }
 
     /// [`ScenarioSet::run_with_workers`] with an explicit compile chunk
-    /// size (the `RAZORBUS_COMPILE_CHUNK` default otherwise) and
-    /// explicit fused-replay controls (`fuse` overrides
-    /// `RAZORBUS_NO_FUSED`, `fanin` overrides `RAZORBUS_REPLAY_FANIN`)
-    /// — lets the chunk-size and fused/solo differential tests run
-    /// without mutating process globals.
+    /// size (the `RAZORBUS_COMPILE_CHUNK` default otherwise) and an
+    /// explicit fused-replay fan-in (`fanin` overrides
+    /// `RAZORBUS_REPLAY_FANIN`) — lets the chunk-size and fan-in
+    /// differential tests run without mutating process globals.
     fn run_full(
         &self,
         prebuilt: Vec<(DesignSpec, DvsBusDesign)>,
         share_compiled: bool,
         workers: Option<usize>,
         chunk_cycles: usize,
-        fuse: Option<bool>,
         fanin: Option<usize>,
     ) -> Result<ScenarioSetRun, String> {
         let fanin = fanin.unwrap_or_else(replay_fanin);
@@ -653,20 +671,16 @@ impl ScenarioSet {
             }
         }
 
-        // Build governors (and validate recipes) before spawning, so
-        // every spec-level error surfaces as a clean Err.
+        // Build governors and open every stream once before spawning,
+        // so every spec-level error surfaces as a clean Err.
         let mut governors: Vec<Option<BoxedGovernor>> = Vec::new();
         for job in &loop_jobs {
             let design = &designs[job.design_idx];
             governors.push(Some(job.controller.build(design, job.corner)?));
-            if let WorkloadSpec::Recipe(recipe) = &job.workload {
-                recipe.build_trace(job.seed)?;
-            }
+            open_stream(&job.workload, job.seed, 0)?;
         }
         for job in &summary_jobs {
-            if let WorkloadSpec::Recipe(recipe) = &job.workload {
-                recipe.build_trace(job.seed)?;
-            }
+            open_stream(&job.workload, job.seed, 0)?;
         }
 
         let compile_jobs = if share_compiled {
@@ -697,26 +711,23 @@ impl ScenarioSet {
         // fixed-supply members fuse into single-pass groups, everything
         // else keeps its solo continuation. Planned up front, so
         // grouping never depends on scheduling.
-        let fuse = fuse.unwrap_or_else(fused_replays_enabled);
         let replay_plans: Vec<Vec<ReplayPlan>> = compile_jobs
             .iter()
             .enumerate()
             .map(|(c, key)| {
-                let stream = !matches!(key.workload, WorkloadSpec::Suite);
-                plan_replay_groups(&replayers[c], &loop_jobs, &loop_hist, stream, fuse, fanin)
+                let stream = stream_count(&key.workload) == 1;
+                plan_replay_groups(&replayers[c], &loop_jobs, &loop_hist, stream, fanin)
             })
             .collect();
-        // Resolved once: a one-worker pool also routes compiles onto
-        // the streaming serial path (no chunk bookkeeping to win back).
         let n_workers = pool::worker_count(workers);
 
         // Drain the plan on the work-stealing pool. Compiles feed the
         // injector first so shared workloads materialize while the live
         // loops and summary passes fill the remaining slots; a finished
         // compile spawns one `Replay` continuation per waiting loop
-        // (the compiled stream `Arc`-shared, one clone per job). Suite
-        // compiles and summaries split into per-benchmark jobs whose
-        // last finisher assembles the slot-ordered whole. Every job
+        // (the compiled streams `Arc`-shared, one clone per job).
+        // Compiles and summaries run one job per stream, and the last
+        // stream to finish assembles the slot-ordered whole. Every job
         // writes its pre-assigned slot — and aggregate metrics fold
         // through the rank-ordered `DigestBuilder` — so worker count
         // and steal order never affect the assembled result.
@@ -730,121 +741,59 @@ impl ScenarioSet {
                 .expect("governor built above, taken once")
         };
         let loops: Mutex<Vec<LoopSlot>> = Mutex::new((0..loop_jobs.len()).map(|_| None).collect());
-        let summaries: Mutex<Vec<Option<Result<SweepData, String>>>> =
+        let summaries: Mutex<Vec<Option<SweepData>>> =
             Mutex::new((0..summary_jobs.len()).map(|_| None).collect());
         let folder: Option<Mutex<DigestBuilder>> =
             (agg_count > 0).then(|| Mutex::new(DigestBuilder::new(&self.name)));
-        let suite_compiles: Vec<SuiteSlots<Arc<CompiledTrace>>> = compile_jobs
+        let compile_streams: Vec<Mutex<BenchSlots<Arc<CompiledTrace>>>> = compile_jobs
             .iter()
-            .map(|k| {
-                matches!(k.workload, WorkloadSpec::Suite)
-                    .then(|| Mutex::new(BenchSlots::new(Benchmark::ALL.len())))
-            })
+            .map(|k| Mutex::new(BenchSlots::new(stream_count(&k.workload))))
             .collect();
-        let suite_summaries: Vec<SuiteSlots<(Benchmark, TraceSummary)>> = summary_jobs
+        let summary_streams: Vec<Mutex<BenchSlots<TraceSummary>>> = summary_jobs
             .iter()
-            .map(|k| {
-                matches!(k.workload, WorkloadSpec::Suite)
-                    .then(|| Mutex::new(BenchSlots::new(Benchmark::ALL.len())))
-            })
+            .map(|k| Mutex::new(BenchSlots::new(stream_count(&k.workload))))
             .collect();
 
         // A finished loop (live or replayed): fold its metrics into the
         // digest for every rank it carries, then keep or drop the
         // product as planned.
-        let finish_loop = |i: usize, product: Result<LoopProduct, String>| {
-            let slot = match product {
-                Ok(product) => {
-                    if !job_agg[i].is_empty() {
-                        let metrics = MemberMetrics::of(&product.data);
-                        let mut folder = folder
-                            .as_ref()
-                            .expect("aggregate ranks imply a folder")
-                            .lock()
-                            .expect("digest folder");
-                        for &rank in &job_agg[i] {
-                            folder.submit(rank, metrics.clone());
-                        }
-                    }
-                    Ok(materialize[i].then_some(product))
+        let finish_loop = |i: usize, product: LoopProduct| {
+            if !job_agg[i].is_empty() {
+                let metrics = MemberMetrics::of(&product.data);
+                let mut folder = folder
+                    .as_ref()
+                    .expect("aggregate ranks imply a folder")
+                    .lock()
+                    .expect("digest folder");
+                for &rank in &job_agg[i] {
+                    folder.submit(rank, metrics.clone());
                 }
-                Err(e) => Err(e),
-            };
-            loops.lock().expect("loop results")[i] = Some(slot);
+            }
+            loops.lock().expect("loop results")[i] = Some(materialize[i].then_some(product));
         };
 
-        // A materialized compiled stream: hand it to the suite assembly
-        // (bench compiles) or directly to the waiting replays.
+        // A compiled stream: fill its slot, and once the workload's
+        // last stream lands, spawn the waiting replays.
         let finish_compile =
-            |c: usize,
-             bench: Option<usize>,
-             compiled: Arc<CompiledTrace>,
-             spawner: &pool::Spawner<'_, Job>| match bench {
-                Some(b) => {
-                    let done = suite_compiles[c]
-                        .as_ref()
-                        .expect("suite compile assembly")
-                        .lock()
-                        .expect("suite compile slots")
-                        .fill(b, compiled);
-                    if let Some(per) = done {
-                        let workload = CompiledWorkload::Suite(per);
-                        for &i in &replayers[c] {
-                            spawner.spawn(Job::Replay(i, workload.clone()));
+            |c: usize, b: usize, compiled: CompiledTrace, spawner: &pool::Spawner<'_, Job>| {
+                let done = compile_streams[c]
+                    .lock()
+                    .expect("compile stream slots")
+                    .fill(b, Arc::new(compiled));
+                let Some(streams) = done else { return };
+                for plan in &replay_plans[c] {
+                    match plan {
+                        ReplayPlan::Solo(i) => spawner.spawn(Job::Replay(*i, streams.clone())),
+                        ReplayPlan::Fused(group) => {
+                            spawner.spawn(Job::FusedReplay(group.clone(), Arc::clone(&streams[0])))
                         }
                     }
-                }
-                None => {
-                    for plan in &replay_plans[c] {
-                        match plan {
-                            ReplayPlan::Solo(i) => spawner.spawn(Job::Replay(
-                                *i,
-                                CompiledWorkload::Stream(Arc::clone(&compiled)),
-                            )),
-                            ReplayPlan::Fused(group) => spawner
-                                .spawn(Job::FusedReplay(group.clone(), Arc::clone(&compiled))),
-                        }
-                    }
-                }
-            };
-
-        // A serially drained word buffer: classify it in one piece when
-        // a single chunk covers it (no assembly detour), otherwise
-        // spawn one `CompileChunk` continuation per chunk — stolen by
-        // idle workers like any other job.
-        let spawn_chunks =
-            |c: usize, bench: Option<usize>, words: Vec<u32>, spawner: &pool::Spawner<'_, Job>| {
-                let key = &compile_jobs[c];
-                let design = &designs[key.design_idx];
-                let n = words.len() - 1;
-                let n_chunks = n.div_ceil(chunk_cycles.max(1));
-                if n_chunks <= 1 {
-                    let chunk = CompiledTrace::analyze_chunk(design, &words, 0, n);
-                    let compiled =
-                        Arc::new(CompiledTrace::from_chunks(design, key.cycles, vec![chunk]));
-                    finish_compile(c, bench, compiled, spawner);
-                    return;
-                }
-                let job = Arc::new(ChunkJob {
-                    c,
-                    bench,
-                    words,
-                    chunk_cycles: chunk_cycles.max(1),
-                    slots: Mutex::new(BenchSlots::new(n_chunks)),
-                });
-                for k in 0..n_chunks {
-                    spawner.spawn(Job::CompileChunk(Arc::clone(&job), k));
                 }
             };
 
         let mut initial: Vec<Job> = Vec::new();
         for (c, key) in compile_jobs.iter().enumerate() {
-            match key.workload {
-                WorkloadSpec::Suite => {
-                    initial.extend((0..Benchmark::ALL.len()).map(|b| Job::CompileBench(c, b)));
-                }
-                _ => initial.push(Job::Compile(c)),
-            }
+            initial.extend((0..stream_count(&key.workload)).map(|b| Job::Compile(c, b)));
         }
         initial.extend(
             loop_jobs
@@ -854,63 +803,41 @@ impl ScenarioSet {
                 .map(|(i, _)| Job::Loop(i)),
         );
         for (s, key) in summary_jobs.iter().enumerate() {
-            match key.workload {
-                WorkloadSpec::Suite => {
-                    initial.extend((0..Benchmark::ALL.len()).map(|b| Job::SummaryBench(s, b)));
-                }
-                _ => initial.push(Job::Summary(s)),
-            }
+            initial.extend((0..stream_count(&key.workload)).map(|b| Job::Summary(s, b)));
         }
 
         pool::run(n_workers, initial, |job, spawner| match job {
-            Job::Compile(c) => {
+            Job::Compile(c, b) => {
                 let key = &compile_jobs[c];
-                // One worker: no chunk parallelism to exploit, so
-                // stream the compile in a single pass (no word
-                // buffer, no chunk assembly) — bit-identical by the
-                // chunk differentials.
-                if n_workers == 1 {
-                    match compile_stream_serial(&designs[key.design_idx], key) {
-                        Ok(compiled) => finish_compile(c, None, Arc::new(compiled), spawner),
-                        Err(e) => {
-                            let mut slots = loops.lock().expect("loop results");
-                            for &i in &replayers[c] {
-                                slots[i] = Some(Err(e.clone()));
-                            }
-                        }
-                    }
-                    return;
-                }
-                match drain_stream_words(key) {
-                    Ok(words) => spawn_chunks(c, None, words, spawner),
-                    Err(e) => {
-                        let mut slots = loops.lock().expect("loop results");
-                        for &i in &replayers[c] {
-                            slots[i] = Some(Err(e.clone()));
-                        }
+                let design = &designs[key.design_idx];
+                let mut stream = reopen_stream(&key.workload, key.seed, b);
+                // The one compile-mode rule: a lone worker or a stream
+                // one chunk covers has no chunk parallelism to win, so
+                // it streams in one pass (no word buffer, no assembly);
+                // anything else drains serially and fans its chunks
+                // out — bit-identical either way.
+                if n_workers == 1 || key.cycles <= chunk_cycles as u64 {
+                    let compiled = CompiledTrace::compile(design, &mut stream, key.cycles);
+                    finish_compile(c, b, compiled, spawner);
+                } else {
+                    let words = CompiledTrace::drain_words(&mut stream, key.cycles);
+                    let n_chunks = (words.len() - 1).div_ceil(chunk_cycles);
+                    let job = Arc::new(ChunkJob {
+                        c,
+                        b,
+                        words,
+                        slots: Mutex::new(BenchSlots::new(n_chunks)),
+                    });
+                    for k in 0..n_chunks {
+                        spawner.spawn(Job::CompileChunk(Arc::clone(&job), k));
                     }
                 }
-            }
-            Job::CompileBench(c, b) => {
-                let key = &compile_jobs[c];
-                if n_workers == 1 {
-                    let compiled = CompiledTrace::compile(
-                        &designs[key.design_idx],
-                        &mut Benchmark::ALL[b].trace(key.seed),
-                        key.cycles,
-                    );
-                    finish_compile(c, Some(b), Arc::new(compiled), spawner);
-                    return;
-                }
-                let words =
-                    CompiledTrace::drain_words(&mut Benchmark::ALL[b].trace(key.seed), key.cycles);
-                spawn_chunks(c, Some(b), words, spawner);
             }
             Job::CompileChunk(job, k) => {
                 let key = &compile_jobs[job.c];
                 let design = &designs[key.design_idx];
-                let start = k * job.chunk_cycles;
-                let len = job.chunk_cycles.min(job.words.len() - 1 - start);
+                let start = k * chunk_cycles;
+                let len = chunk_cycles.min(job.words.len() - 1 - start);
                 let chunk = CompiledTrace::analyze_chunk(design, &job.words, start, len);
                 let done = job
                     .slots
@@ -918,8 +845,8 @@ impl ScenarioSet {
                     .expect("chunk assembly slots")
                     .fill(k, chunk);
                 if let Some(chunks) = done {
-                    let compiled = Arc::new(CompiledTrace::from_chunks(design, key.cycles, chunks));
-                    finish_compile(job.c, job.bench, compiled, spawner);
+                    let compiled = CompiledTrace::from_chunks(design, key.cycles, chunks);
+                    finish_compile(job.c, job.b, compiled, spawner);
                 }
             }
             Job::Loop(i) => {
@@ -932,14 +859,14 @@ impl ScenarioSet {
                 );
                 finish_loop(i, product);
             }
-            Job::Replay(i, workload) => {
+            Job::Replay(i, streams) => {
                 let job = &loop_jobs[i];
                 let product = run_replay_job(
                     &designs[job.design_idx],
                     job,
                     take_governor(i),
                     loop_hist[i],
-                    &workload,
+                    &streams,
                 );
                 finish_loop(i, product);
             }
@@ -967,54 +894,49 @@ impl ScenarioSet {
                 for (&i, report) in group.iter().zip(reports) {
                     finish_loop(
                         i,
-                        Ok(LoopProduct {
+                        LoopProduct {
                             data: LoopData::Stream(StreamRun {
                                 corner: loop_jobs[i].corner,
                                 report,
                             }),
                             sweep: None,
-                        }),
+                        },
                     );
                 }
             }
-            Job::Summary(s) => {
-                let job = &summary_jobs[s];
-                summaries.lock().expect("summary results")[s] =
-                    Some(run_summary_job(&designs[job.design_idx], job));
-            }
-            Job::SummaryBench(s, b) => {
+            Job::Summary(s, b) => {
                 let key = &summary_jobs[s];
-                let benchmark = Benchmark::ALL[b];
-                let summary = TraceSummary::collect(
-                    &designs[key.design_idx],
-                    &mut benchmark.trace(key.seed),
-                    key.cycles,
-                );
-                let done = suite_summaries[s]
-                    .as_ref()
-                    .expect("suite summary assembly")
+                let mut stream = reopen_stream(&key.workload, key.seed, b);
+                let summary =
+                    TraceSummary::collect(&designs[key.design_idx], &mut stream, key.cycles);
+                let done = summary_streams[s]
                     .lock()
-                    .expect("suite summary slots")
-                    .fill(b, (benchmark, summary));
-                if let Some(per) = done {
-                    summaries.lock().expect("summary results")[s] =
-                        Some(Ok(SweepData::Bank(SummaryBank::from_per_benchmark(per))));
+                    .expect("summary stream slots")
+                    .fill(b, summary);
+                if let Some(mut per) = done {
+                    let sweep = match key.workload {
+                        WorkloadSpec::Suite => SweepData::Bank(SummaryBank::from_per_benchmark(
+                            Benchmark::ALL.into_iter().zip(per).collect(),
+                        )),
+                        _ => SweepData::Summary(per.remove(0)),
+                    };
+                    summaries.lock().expect("summary results")[s] = Some(sweep);
                 }
             }
         });
 
-        let loop_products = loops
+        let loop_products: Vec<Option<LoopProduct>> = loops
             .into_inner()
             .expect("loop results")
             .into_iter()
-            .map(|p| p.expect("every loop job produced or errored"))
-            .collect::<Result<Vec<_>, String>>()?;
-        let summary_products = summaries
+            .map(|p| p.expect("every loop job produced"))
+            .collect();
+        let summary_products: Vec<SweepData> = summaries
             .into_inner()
             .expect("summary results")
             .into_iter()
             .map(|p| p.expect("every summary job produced"))
-            .collect::<Result<Vec<_>, String>>()?;
+            .collect();
         let digest: Option<CampaignDigest> =
             folder.map(|f| f.into_inner().expect("digest folder").finish());
 
@@ -1062,73 +984,36 @@ impl ScenarioSet {
     }
 }
 
-/// Drains one shared single-stream workload's words (the serial phase
-/// of a chunked compile — RNG streams stay sequential, so seeds
-/// produce exactly the live path's words). Suite workloads never reach
-/// here — they split into per-benchmark [`Job::CompileBench`] jobs.
-fn drain_stream_words(key: &SummaryKey) -> Result<Vec<u32>, String> {
-    match &key.workload {
-        WorkloadSpec::Suite => unreachable!("suite compiles split into per-benchmark jobs"),
-        WorkloadSpec::Single(benchmark) => Ok(CompiledTrace::drain_words(
-            &mut benchmark.trace(key.seed),
-            key.cycles,
-        )),
-        WorkloadSpec::Recipe(recipe) => {
-            let mut trace = recipe.build_trace(key.seed)?;
-            Ok(CompiledTrace::drain_words(&mut trace, key.cycles))
-        }
-    }
-}
-
-/// Compiles one single-stream workload in one streaming pass — the
-/// one-worker fast path, where chunk assembly buys nothing (pinned
-/// bit-identical to the chunked path by the differential tests in
-/// `compile.rs` and `razorbus-core`).
-fn compile_stream_serial(design: &DvsBusDesign, key: &SummaryKey) -> Result<CompiledTrace, String> {
-    match &key.workload {
-        WorkloadSpec::Suite => unreachable!("suite compiles split into per-benchmark jobs"),
-        WorkloadSpec::Single(benchmark) => Ok(CompiledTrace::compile(
-            design,
-            &mut benchmark.trace(key.seed),
-            key.cycles,
-        )),
-        WorkloadSpec::Recipe(recipe) => {
-            let mut trace = recipe.build_trace(key.seed)?;
-            Ok(CompiledTrace::compile(design, &mut trace, key.cycles))
-        }
-    }
-}
-
-/// Replays one loop job against a shared compiled workload (phase B) —
-/// bit-identical to [`run_loop_job`] over the live trace, pinned by the
-/// replay differential tests in `razorbus-core` and the executor tests
-/// below.
+/// Replays one loop job against its shared compiled streams (phase B)
+/// — bit-identical to [`run_loop_job`] over the live trace, pinned by
+/// the replay differential tests in `razorbus-core` and the executor
+/// tests below.
 fn run_replay_job(
     design: &DvsBusDesign,
     job: &LoopKey,
     governor: BoxedGovernor,
     with_hist: bool,
-    workload: &CompiledWorkload,
-) -> Result<LoopProduct, String> {
-    match workload {
-        CompiledWorkload::Suite(per) => {
+    streams: &[Arc<CompiledTrace>],
+) -> LoopProduct {
+    match job.workload {
+        WorkloadSpec::Suite => {
             let (data, per_summaries) = fig8::replay_protocol(
                 design,
                 job.corner,
-                per,
+                streams,
                 governor,
                 job.controller.sampling,
                 with_hist,
             );
             let sweep =
                 with_hist.then(|| SweepData::Bank(SummaryBank::from_per_benchmark(per_summaries)));
-            Ok(LoopProduct {
+            LoopProduct {
                 data: LoopData::Suite(data),
                 sweep,
-            })
+            }
         }
-        CompiledWorkload::Stream(trace) => {
-            let (mut report, _governor) = trace.replay(
+        WorkloadSpec::Single(_) | WorkloadSpec::Recipe(_) => {
+            let (mut report, _governor) = streams[0].replay(
                 design,
                 job.corner,
                 governor,
@@ -1136,13 +1021,13 @@ fn run_replay_job(
                 with_hist,
             );
             let sweep = report.summary.take().map(SweepData::Summary);
-            Ok(LoopProduct {
+            LoopProduct {
                 data: LoopData::Stream(StreamRun {
                     corner: job.corner,
                     report,
                 }),
                 sweep,
-            })
+            }
         }
     }
 }
@@ -1152,7 +1037,7 @@ fn run_loop_job(
     job: &LoopKey,
     governor: BoxedGovernor,
     with_hist: bool,
-) -> Result<LoopProduct, String> {
+) -> LoopProduct {
     match &job.workload {
         WorkloadSpec::Suite => {
             let (data, per) = fig8::run_protocol(
@@ -1165,67 +1050,29 @@ fn run_loop_job(
                 with_hist,
             );
             let sweep = with_hist.then(|| SweepData::Bank(SummaryBank::from_per_benchmark(per)));
-            Ok(LoopProduct {
+            LoopProduct {
                 data: LoopData::Suite(data),
                 sweep,
-            })
+            }
         }
-        WorkloadSpec::Single(benchmark) => Ok(run_stream_job(
-            design,
-            job,
-            benchmark.trace(job.seed),
-            governor,
-            with_hist,
-        )),
-        WorkloadSpec::Recipe(recipe) => Ok(run_stream_job(
-            design,
-            job,
-            recipe.build_trace(job.seed)?,
-            governor,
-            with_hist,
-        )),
-    }
-}
-
-fn run_stream_job<S: TraceSource>(
-    design: &DvsBusDesign,
-    job: &LoopKey,
-    trace: S,
-    governor: BoxedGovernor,
-    with_hist: bool,
-) -> LoopProduct {
-    let mut sim = BusSimulator::new(design, job.corner, trace, governor);
-    if let Some(window) = job.controller.sampling {
-        sim = sim.with_sampling(window);
-    }
-    if with_hist {
-        sim = sim.with_histogram();
-    }
-    let mut report = sim.run(job.cycles);
-    let sweep = report.summary.take().map(SweepData::Summary);
-    LoopProduct {
-        data: LoopData::Stream(StreamRun {
-            corner: job.corner,
-            report,
-        }),
-        sweep,
-    }
-}
-
-fn run_summary_job(design: &DvsBusDesign, job: &SummaryKey) -> Result<SweepData, String> {
-    match &job.workload {
-        WorkloadSpec::Suite => unreachable!("suite summaries split into per-benchmark jobs"),
-        WorkloadSpec::Single(benchmark) => {
-            let mut trace = benchmark.trace(job.seed);
-            Ok(SweepData::Summary(TraceSummary::collect(
-                design, &mut trace, job.cycles,
-            )))
-        }
-        WorkloadSpec::Recipe(recipe) => {
-            let mut trace = recipe.build_trace(job.seed)?;
-            Ok(SweepData::Summary(TraceSummary::collect(
-                design, &mut trace, job.cycles,
-            )))
+        WorkloadSpec::Single(_) | WorkloadSpec::Recipe(_) => {
+            let trace = reopen_stream(&job.workload, job.seed, 0);
+            let mut sim = BusSimulator::new(design, job.corner, trace, governor);
+            if let Some(window) = job.controller.sampling {
+                sim = sim.with_sampling(window);
+            }
+            if with_hist {
+                sim = sim.with_histogram();
+            }
+            let mut report = sim.run(job.cycles);
+            let sweep = report.summary.take().map(SweepData::Summary);
+            LoopProduct {
+                data: LoopData::Stream(StreamRun {
+                    corner: job.corner,
+                    report,
+                }),
+                sweep,
+            }
         }
     }
 }
@@ -1510,28 +1357,44 @@ mod tests {
 
     #[test]
     fn results_are_bit_identical_across_compile_chunk_sizes() {
-        // The chunked compile path must be invisible in campaign
-        // results: a chunk smaller than the trace (many CompileChunk
-        // continuations interleaving with replays), an awkward prime,
-        // and the 64k default (one chunk covers everything — the
-        // unchunked fast path) all assemble the same bytes, serial and
-        // pooled.
-        let mut spec = member("chunked", AnalysisSpec::Full, CornerSpec::Typical);
-        spec.run.cycles_per_benchmark = 2_000;
-        spec.sweep = vec![SweepAxis::Governors(vec![
-            GovernorSpec::Threshold,
-            GovernorSpec::Proportional,
-        ])];
-        let set = ScenarioSet::single(spec);
-        let baseline = set
-            .run_full(Vec::new(), true, Some(1), 65_536, None, None)
+        // Whichever compile mode the executor picks, the chunked
+        // compile must be invisible in campaign results: chunks far
+        // below every stream (many CompileChunk continuations
+        // interleaving with replays), an awkward prime, a chunk exactly
+        // one suite stream long and one beyond every stream (one-pass
+        // compiles), on 1 worker (always one pass), 2 workers and the
+        // hardware default. The workloads span the paper suite, the
+        // modified-coupling bus and crosstalk-storm traffic on it, each
+        // shared by two governors; the oracle is the live path.
+        let governors =
+            SweepAxis::Governors(vec![GovernorSpec::Threshold, GovernorSpec::Proportional]);
+        let mut paper = member("paper", AnalysisSpec::Full, CornerSpec::Typical);
+        paper.run.cycles_per_benchmark = 2_000;
+        paper.sweep = vec![governors];
+        let mut modified = paper.clone();
+        modified.name = "modified".to_string();
+        modified.design = DesignSpec::ModifiedCoupling;
+        let mut storm = modified.clone();
+        storm.name = "storm".to_string();
+        storm.run.cycles_per_benchmark = 6_000;
+        storm.workload = WorkloadSpec::Recipe(crate::spec::TrafficRecipe::CrosstalkStorm(
+            crate::spec::StormProfile {
+                aggression_permille: 900,
+            },
+        ));
+        let set = ScenarioSet {
+            name: "chunked".to_string(),
+            members: vec![paper, modified, storm],
+        };
+        let live = set
+            .run_full(Vec::new(), false, Some(1), 65_536, None)
             .unwrap();
-        for chunk in [127usize, 500] {
+        for chunk in [127usize, 513, 2_000, 65_536] {
             for workers in [Some(1), Some(2), None] {
                 let run = set
-                    .run_full(Vec::new(), true, workers, chunk, None, None)
+                    .run_full(Vec::new(), true, workers, chunk, None)
                     .unwrap();
-                assert_eq!(baseline.result, run.result, "chunk {chunk}, {workers:?}");
+                assert_eq!(live.result, run.result, "chunk {chunk}, {workers:?}");
             }
         }
     }
@@ -1716,12 +1579,13 @@ mod tests {
 
     #[test]
     fn fused_replays_are_bit_identical_to_solo_replays() {
-        // The tentpole differential: a voltage sweep crossed with two
-        // corners over one compiled stream — six open-loop members
-        // sharing one trace — must produce the exact same bytes whether
-        // the executor judges them one fused pass, capped fused groups,
-        // or solo replays, at every worker count. Closed-loop members
-        // ride along to prove mixing fused and solo paths is safe.
+        // A voltage sweep crossed with two corners over one compiled
+        // stream — six open-loop members sharing one trace — must
+        // produce the exact same bytes whether the executor judges them
+        // in one fused pass or in capped fused groups (fan-in 1 is one
+        // member per pass), at every worker count, as the live path
+        // simulating each member on its own. Closed-loop members ride
+        // along to prove mixing fused and solo replays is safe.
         let mut spec = member("fused", AnalysisSpec::ClosedLoop, CornerSpec::Typical);
         spec.workload = WorkloadSpec::Single(razorbus_traces::Benchmark::Crafty);
         spec.run.cycles_per_benchmark = 3_000;
@@ -1741,16 +1605,16 @@ mod tests {
             members: vec![spec, closed],
         };
         let chunk = compile_chunk_cycles();
-        let solo = set
-            .run_full(Vec::new(), true, Some(1), chunk, Some(false), None)
+        let live = set
+            .run_full(Vec::new(), false, Some(1), chunk, None)
             .unwrap();
         for fanin in [0usize, 1, 2] {
             for workers in [Some(1), Some(2), None] {
                 let fused = set
-                    .run_full(Vec::new(), true, workers, chunk, Some(true), Some(fanin))
+                    .run_full(Vec::new(), true, workers, chunk, Some(fanin))
                     .unwrap();
                 assert_eq!(
-                    solo.result, fused.result,
+                    live.result, fused.result,
                     "fan-in {fanin}, workers {workers:?}"
                 );
             }
@@ -1802,8 +1666,7 @@ mod tests {
             }
             let replayers: Vec<usize> = (0..n).collect();
             for fanin in [0usize, 1, 3] {
-                let plans =
-                    plan_replay_groups(&replayers, &loop_jobs, &loop_hist, true, true, fanin);
+                let plans = plan_replay_groups(&replayers, &loop_jobs, &loop_hist, true, fanin);
                 let mut seen = vec![0usize; n];
                 for plan in &plans {
                     match plan {
@@ -1830,14 +1693,10 @@ mod tests {
                     }
                 }
                 assert!(seen.iter().all(|&c| c == 1), "not a partition: {seen:?}");
-                // Solo-only modes collapse everything to solo plans.
-                for no_fuse in [
-                    plan_replay_groups(&replayers, &loop_jobs, &loop_hist, true, false, fanin),
-                    plan_replay_groups(&replayers, &loop_jobs, &loop_hist, false, true, fanin),
-                ] {
-                    assert_eq!(no_fuse.len(), n);
-                    assert!(no_fuse.iter().all(|p| matches!(p, ReplayPlan::Solo(_))));
-                }
+                // Suite workloads replay every member solo.
+                let suite = plan_replay_groups(&replayers, &loop_jobs, &loop_hist, false, fanin);
+                assert_eq!(suite.len(), n);
+                assert!(suite.iter().all(|p| matches!(p, ReplayPlan::Solo(_))));
             }
         }
     }
@@ -1847,21 +1706,22 @@ mod tests {
         // The 1k Monte-Carlo campaign is the fused path's production
         // shape: every member is an open-loop supply point sharing its
         // seed's compiled trace. Its digest (the only output an
-        // Aggregate campaign keeps) must not move when fusing is
-        // disabled or the fan-in is pinned small.
+        // Aggregate campaign keeps) must equal the live path's, which
+        // simulates every member without fusing, and must not move when
+        // the fan-in is pinned small.
         let set = crate::catalog::by_name("monte-carlo-dvs-1k", 1_500, 7).unwrap();
         let chunk = compile_chunk_cycles();
         let fused = set
-            .run_full(Vec::new(), true, Some(2), chunk, Some(true), Some(0))
+            .run_full(Vec::new(), true, Some(2), chunk, Some(0))
             .unwrap();
         let capped = set
-            .run_full(Vec::new(), true, Some(2), chunk, Some(true), Some(2))
+            .run_full(Vec::new(), true, Some(2), chunk, Some(2))
             .unwrap();
-        let solo = set
-            .run_full(Vec::new(), true, Some(2), chunk, Some(false), None)
+        let live = set
+            .run_full(Vec::new(), false, Some(2), chunk, None)
             .unwrap();
         assert!(fused.result.digest.is_some());
-        assert_eq!(fused.result, solo.result);
+        assert_eq!(fused.result, live.result);
         assert_eq!(fused.result, capped.result);
     }
 

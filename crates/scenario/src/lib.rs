@@ -63,7 +63,6 @@
 
 pub mod aggregate;
 pub mod catalog;
-mod compile;
 mod exec;
 pub mod paper;
 mod pool;
@@ -72,7 +71,6 @@ mod result;
 mod spec;
 
 pub use aggregate::{CampaignDigest, DigestBuilder, MemberMetrics, QuantileSketch, ScalarAgg};
-pub use compile::PoolChunks;
 pub use exec::{check_env_knobs, replay_fanin, ScenarioSet, ScenarioSetRun};
 pub use pool::worker_count;
 pub use record::{CampaignRecording, Divergence, MemberRecord, ReplayReport};
