@@ -229,7 +229,7 @@ fn coupling_rows(run: &ScenarioSetRun) -> Vec<AblationRow> {
                 _ => unreachable!("coupling member without a bank"),
             };
             let design = run.design_for(&m.spec.design).expect("coupling design");
-            let typical = &fig5::rows_from_summary(design, summary)[2];
+            let typical = fig5::from_summary(design, summary).rows[2];
             AblationRow {
                 setting: format!("{label}: V@2% {}", typical.voltage[1]),
                 energy_gain: typical.gain[1],
@@ -327,9 +327,7 @@ pub fn run_all(cycles: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use razorbus_core::experiments;
-    use razorbus_core::DvsBusDesign;
-    use razorbus_process::PvtCorner;
+    use razorbus_scenario::paper;
 
     const CYCLES: u64 = 30_000;
 
@@ -370,8 +368,8 @@ mod tests {
         // relied on implicitly.
         let rows = controller_window(CYCLES);
         let paper_row = &rows[1];
-        let d = DvsBusDesign::paper_default();
-        let data = experiments::fig8::run(&d, PvtCorner::TYPICAL, CYCLES, crate::REPRO_SEED);
+        let run = paper::fig8_set(CYCLES, crate::REPRO_SEED).run().unwrap();
+        let data = paper::fig8_data(&run).unwrap();
         assert!((paper_row.energy_gain - data.total_energy_gain()).abs() < 1e-15);
         assert!((paper_row.error_rate - data.total_error_rate()).abs() < 1e-15);
         assert!((paper_row.peak_window_error - data.peak_window_error_rate()).abs() < 1e-15);

@@ -241,45 +241,22 @@ fn main() {
             run_digest_merge(&merge_inputs, &out);
         }
         "all" => run_everything(&simulate(paper::paper_all_set(cycles, REPRO_SEED)), cycles),
-        "fig4" => {
-            banner("Fig. 4 (energy & error rate vs. static VDD)");
-            let run = run_set(paper::fig4_set(cycles, REPRO_SEED));
-            adapter(paper::fig4_panel(&run, "fig4@worst")).print();
-            println!();
-            adapter(paper::fig4_panel(&run, "fig4@typical")).print();
-        }
-        "fig5" => {
-            banner("Fig. 5 (gains vs. PVT delay spread)");
-            let run = run_set(paper::fig5_set(cycles, REPRO_SEED));
-            adapter(paper::fig5_data(&run)).print();
+        "fig4" | "fig5" | "fig8" | "table1" | "fig10" => {
+            banner(what);
+            let set = catalog::by_name(what, cycles, REPRO_SEED)
+                .expect("every paper figure is a catalog scenario");
+            render_scenario(what, &run_set(set), None, None);
         }
         "fig6" => {
-            banner("Fig. 6 (optimal supply residency)");
-            let design = DvsBusDesign::paper_default();
-            let windows = (cycles / 10_000).max(10) as usize;
-            experiments::fig6::run(&design, windows, 10_000, REPRO_SEED).print();
-        }
-        "fig8" => {
-            banner("Fig. 8 (closed-loop trajectory, typical corner)");
-            let run = run_set(paper::fig8_set(cycles, REPRO_SEED));
-            adapter(paper::fig8_data(&run)).print();
-        }
-        "table1" => {
-            banner("Table 1 (fixed VS vs. proposed DVS)");
-            let run = run_set(paper::table1_set(cycles, REPRO_SEED));
-            adapter(paper::table1_data(&run)).print();
-        }
-        "fig10" => {
-            banner("Fig. 10 / §6 (modified bus)");
-            let run = run_set(paper::fig10_set(cycles, REPRO_SEED));
-            adapter(paper::fig10_data(&run)).print();
+            banner(what);
+            print_fig6(&DvsBusDesign::paper_default(), cycles);
         }
         "scaling" => {
-            banner("§6 technology scaling");
+            banner(what);
             experiments::scaling::run(cycles / 4, REPRO_SEED).print();
         }
         "ablations" => {
-            banner("Ablations (DESIGN.md §6)");
+            banner(what);
             ablations::run_all(cycles / 4);
         }
         _ => unreachable!("artifact validated above"),
@@ -568,26 +545,25 @@ fn run_everything(run: &ScenarioSetRun, cycles: u64) {
     let design = adapter(run.design_for(&DesignSpec::Paper));
     let modified = adapter(run.design_for(&DesignSpec::ModifiedCoupling));
 
-    banner("Fig. 4 (energy & error rate vs. static VDD)");
+    banner("fig4");
     experiments::fig4::from_summary(design, PvtCorner::WORST, shared.bank.combined()).print();
     println!();
     experiments::fig4::from_summary(design, PvtCorner::TYPICAL, shared.bank.combined()).print();
 
-    banner("Fig. 5 (gains vs. PVT delay spread)");
+    banner("fig5");
     experiments::fig5::from_summary(design, shared.bank.combined()).print();
 
-    banner("Fig. 6 (optimal supply residency)");
-    let windows = (cycles / 10_000).max(10) as usize;
-    experiments::fig6::run(design, windows, 10_000, REPRO_SEED).print();
+    banner("fig6");
+    print_fig6(design, cycles);
 
-    banner("Fig. 8 (closed-loop trajectory, typical corner)");
+    banner("fig8");
     shared.dvs_typical.print();
 
-    banner("Table 1 (fixed VS vs. proposed DVS)");
+    banner("table1");
     experiments::table1::from_parts(design, &shared.bank, &shared.dvs_worst, &shared.dvs_typical)
         .print();
 
-    banner("Fig. 10 / §6 (modified bus)");
+    banner("fig10");
     experiments::fig10::from_parts(
         design,
         modified,
@@ -598,18 +574,43 @@ fn run_everything(run: &ScenarioSetRun, cycles: u64) {
     )
     .print();
 
-    banner("§6 technology scaling");
+    banner("scaling");
     experiments::scaling::run(cycles / 4, REPRO_SEED).print();
 
-    banner("Ablations (DESIGN.md §6)");
+    banner("ablations");
     ablations::run_all(cycles / 4);
+}
+
+/// Fig. 6 runs outside the scenario executor, one window per 10 k
+/// cycles (at least ten).
+fn print_fig6(design: &DvsBusDesign, cycles: u64) {
+    let windows = (cycles / 10_000).max(10) as usize;
+    experiments::fig6::run(design, windows, 10_000, REPRO_SEED).print();
 }
 
 fn run_set(set: ScenarioSet) -> ScenarioSetRun {
     set.run().unwrap_or_else(|e| fail(&e))
 }
 
-fn banner(title: &str) {
+/// The banner title of each paper artifact `repro` prints, in `repro
+/// all` order.
+const TITLES: [(&str, &str); 8] = [
+    ("fig4", "Fig. 4 (energy & error rate vs. static VDD)"),
+    ("fig5", "Fig. 5 (gains vs. PVT delay spread)"),
+    ("fig6", "Fig. 6 (optimal supply residency)"),
+    ("fig8", "Fig. 8 (closed-loop trajectory, typical corner)"),
+    ("table1", "Table 1 (fixed VS vs. proposed DVS)"),
+    ("fig10", "Fig. 10 / §6 (modified bus)"),
+    ("scaling", "§6 technology scaling"),
+    ("ablations", "Ablations (DESIGN.md §6)"),
+];
+
+/// Prints the banner of the paper artifact `what`.
+fn banner(what: &str) {
+    let (_, title) = TITLES
+        .iter()
+        .find(|(name, _)| *name == what)
+        .expect("a paper artifact");
     println!("\n================================================================");
     println!("{title}");
     println!("================================================================");

@@ -1,6 +1,7 @@
 //! `repro` refuses malformed environment knobs and stale or corrupt
 //! saved results loudly: exit status 2 and an error naming the cause,
-//! never a silent fallback or a panic.
+//! never a silent fallback or a panic. Its per-figure subcommands render
+//! through the scenario path.
 
 use razorbus_artifact::{Artifact, Encoding};
 use razorbus_scenario::{LoopData, ScenarioSetResult};
@@ -132,4 +133,31 @@ fn all_load_result_refuses_another_cycle_count_or_seed() {
     assert_refused(&out, "seed", "another seed");
     std::fs::remove_file(from_scenario).unwrap();
     std::fs::remove_file(from_all).unwrap();
+}
+
+#[test]
+fn figure_subcommands_render_through_the_scenario_path() {
+    // `repro <fig>` is its banner followed by exactly what `repro
+    // scenario <fig>` prints: one render path per paper figure.
+    let cycles = [("RAZORBUS_CYCLES", "2000")];
+    for (figure, title) in [
+        ("fig4", "Fig. 4 (energy & error rate vs. static VDD)"),
+        ("fig5", "Fig. 5 (gains vs. PVT delay spread)"),
+        ("fig8", "Fig. 8 (closed-loop trajectory, typical corner)"),
+        ("table1", "Table 1 (fixed VS vs. proposed DVS)"),
+        ("fig10", "Fig. 10 / §6 (modified bus)"),
+    ] {
+        let direct = repro(&[figure], &cycles);
+        assert_eq!(direct.status.code(), Some(0), "{figure}: {direct:?}");
+        let scenario = repro(&["scenario", figure], &cycles);
+        assert_eq!(scenario.status.code(), Some(0), "{figure}: {scenario:?}");
+        let rule = "=".repeat(64);
+        let mut expected = format!("\n{rule}\n{title}\n{rule}\n").into_bytes();
+        expected.extend_from_slice(&scenario.stdout);
+        assert_eq!(
+            String::from_utf8_lossy(&direct.stdout),
+            String::from_utf8_lossy(&expected),
+            "{figure}"
+        );
+    }
 }

@@ -3,8 +3,7 @@
 //! and DVS analyses, and compare against the original bus.
 
 use crate::design::DvsBusDesign;
-use crate::experiments::{combined_summary, fig5, fig8};
-use razorbus_process::PvtCorner;
+use crate::experiments::{fig5, fig8};
 
 /// The modified-vs-original comparison.
 #[derive(Debug, Clone)]
@@ -23,28 +22,6 @@ pub struct Fig10Data {
     pub shadow_skew_ps: (f64, f64),
 }
 
-/// Runs the §6 comparison.
-#[must_use]
-pub fn run(
-    base: &DvsBusDesign,
-    modified: &DvsBusDesign,
-    cycles_per_benchmark: u64,
-    seed: u64,
-) -> Fig10Data {
-    let base_summary = combined_summary(base, cycles_per_benchmark, seed);
-    let mod_summary = combined_summary(modified, cycles_per_benchmark, seed);
-    let base_dvs = fig8::run(base, PvtCorner::WORST, cycles_per_benchmark, seed);
-    let mod_dvs = fig8::run(modified, PvtCorner::WORST, cycles_per_benchmark, seed);
-    from_parts(
-        base,
-        modified,
-        &base_summary,
-        &mod_summary,
-        &base_dvs,
-        &mod_dvs,
-    )
-}
-
 /// Builds the comparison from pre-collected inputs — the base-bus
 /// summary and worst-corner DVS run are shared with Fig. 4/5 and Table 1
 /// by `repro all`.
@@ -57,12 +34,9 @@ pub fn from_parts(
     base_dvs: &fig8::Fig8Data,
     mod_dvs: &fig8::Fig8Data,
 ) -> Fig10Data {
-    let original_rows = fig5::rows_from_summary(base, base_summary);
-    let modified_rows = fig5::rows_from_summary(modified, mod_summary);
-
     Fig10Data {
-        original: original_rows,
-        modified: modified_rows,
+        original: fig5::from_summary(base, base_summary).rows,
+        modified: fig5::from_summary(modified, mod_summary).rows,
         worst_corner_dvs_gain: (base_dvs.total_energy_gain(), mod_dvs.total_energy_gain()),
         worst_corner_dvs_error: (base_dvs.total_error_rate(), mod_dvs.total_error_rate()),
         shadow_skew_ps: (
@@ -109,12 +83,21 @@ impl Fig10Data {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::SummaryBank;
+    use razorbus_process::PvtCorner;
 
     #[test]
     fn modified_bus_improves_error_limited_gains() {
         let base = DvsBusDesign::paper_default();
         let modified = DvsBusDesign::modified_paper_bus();
-        let data = run(&base, &modified, 20_000, 4);
+        let data = from_parts(
+            &base,
+            &modified,
+            SummaryBank::collect(&base, 20_000, 4).combined(),
+            SummaryBank::collect(&modified, 20_000, 4).combined(),
+            &fig8::paper_loop(&base, PvtCorner::WORST, 20_000, 4),
+            &fig8::paper_loop(&modified, PvtCorner::WORST, 20_000, 4),
+        );
 
         // §6: the paper reports "slightly higher" 2%/5% gains (about one
         // 20 mV grid step at most corners). In our continuum coupling

@@ -2,7 +2,6 @@
 //! voltage, for one PVT corner, all ten benchmarks combined.
 
 use crate::design::DvsBusDesign;
-use crate::experiments::combined_summary;
 use razorbus_process::PvtCorner;
 use razorbus_units::Millivolts;
 
@@ -28,19 +27,6 @@ pub struct Fig4Data {
     pub corner: PvtCorner,
     /// Points from the corner's shadow floor up to nominal (ascending V).
     pub points: Vec<Fig4Point>,
-}
-
-/// Runs the Fig. 4 sweep at `corner` with all ten benchmarks for
-/// `cycles_per_benchmark` cycles each.
-#[must_use]
-pub fn run(
-    design: &DvsBusDesign,
-    corner: PvtCorner,
-    cycles_per_benchmark: u64,
-    seed: u64,
-) -> Fig4Data {
-    let summary = combined_summary(design, cycles_per_benchmark, seed);
-    from_summary(design, corner, &summary)
 }
 
 /// Computes the panel from an already-collected combined summary — the
@@ -103,11 +89,17 @@ impl Fig4Data {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::SummaryBank;
+
+    fn panel(corner: PvtCorner, cycles_per_benchmark: u64, seed: u64) -> Fig4Data {
+        let d = DvsBusDesign::paper_default();
+        let bank = SummaryBank::collect(&d, cycles_per_benchmark, seed);
+        from_summary(&d, corner, bank.combined())
+    }
 
     #[test]
     fn fig4_shapes_match_paper() {
-        let d = DvsBusDesign::paper_default();
-        let data = run(&d, PvtCorner::TYPICAL, 3_000, 7);
+        let data = panel(PvtCorner::TYPICAL, 3_000, 7);
         // Energy normalized to 1.0 at nominal.
         let last = data.points.last().unwrap();
         assert_eq!(last.voltage, Millivolts::new(1_200));
@@ -128,8 +120,7 @@ mod tests {
     fn worst_corner_fails_immediately_below_nominal() {
         // Fig. 4a: "the error rates increase as soon as the supply
         // voltage is lowered below the nominal 1.2V supply".
-        let d = DvsBusDesign::paper_default();
-        let data = run(&d, PvtCorner::WORST, 3_000, 3);
+        let data = panel(PvtCorner::WORST, 3_000, 3);
         let first_fail = data.first_failure_voltage().unwrap();
         assert!(first_fail >= Millivolts::new(1_160), "{first_fail}");
     }
@@ -137,8 +128,7 @@ mod tests {
     #[test]
     fn typical_corner_scales_before_failing() {
         // Fig. 4b: "no errors are introduced up to a 980mV supply".
-        let d = DvsBusDesign::paper_default();
-        let data = run(&d, PvtCorner::TYPICAL, 3_000, 3);
+        let data = panel(PvtCorner::TYPICAL, 3_000, 3);
         let first_fail = data.first_failure_voltage().unwrap();
         assert!(
             first_fail <= Millivolts::new(1_000),

@@ -2,7 +2,6 @@
 //! across the PVT-corner delay spread.
 
 use crate::design::DvsBusDesign;
-use crate::experiments::combined_summary;
 use crate::summary::TraceSummary;
 use razorbus_process::PvtCorner;
 use razorbus_units::{Millivolts, Picoseconds};
@@ -30,25 +29,10 @@ pub struct Fig5Data {
     pub rows: Vec<Fig5Row>,
 }
 
-/// Computes the figure from a combined-benchmark summary.
-#[must_use]
-pub fn run(design: &DvsBusDesign, cycles_per_benchmark: u64, seed: u64) -> Fig5Data {
-    let summary = combined_summary(design, cycles_per_benchmark, seed);
-    from_summary(design, &summary)
-}
-
 /// Computes the figure from an already-collected combined summary.
 #[must_use]
 pub fn from_summary(design: &DvsBusDesign, summary: &TraceSummary) -> Fig5Data {
-    Fig5Data {
-        rows: rows_from_summary(design, summary),
-    }
-}
-
-/// Same, reusing an already-collected summary (used by Fig. 10).
-#[must_use]
-pub fn rows_from_summary(design: &DvsBusDesign, summary: &TraceSummary) -> Vec<Fig5Row> {
-    PvtCorner::FIG5
+    let rows = PvtCorner::FIG5
         .iter()
         .map(|&corner| {
             let mut voltage = [design.nominal(); 3];
@@ -65,7 +49,8 @@ pub fn rows_from_summary(design: &DvsBusDesign, summary: &TraceSummary) -> Vec<F
                 gain,
             }
         })
-        .collect()
+        .collect();
+    Fig5Data { rows }
 }
 
 impl Fig5Data {
@@ -96,11 +81,19 @@ impl Fig5Data {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::SummaryBank;
+
+    fn figure(cycles_per_benchmark: u64, seed: u64) -> Fig5Data {
+        let d = DvsBusDesign::paper_default();
+        from_summary(
+            &d,
+            SummaryBank::collect(&d, cycles_per_benchmark, seed).combined(),
+        )
+    }
 
     #[test]
     fn gains_grow_toward_faster_corners() {
-        let d = DvsBusDesign::paper_default();
-        let data = run(&d, 3_000, 5);
+        let data = figure(3_000, 5);
         assert_eq!(data.rows.len(), 5);
         // At every target, the best corner gains at least as much as the
         // worst corner, and substantially so at 0%.
@@ -114,8 +107,7 @@ mod tests {
 
     #[test]
     fn higher_target_never_gains_less() {
-        let d = DvsBusDesign::paper_default();
-        let data = run(&d, 3_000, 5);
+        let data = figure(3_000, 5);
         for row in &data.rows {
             assert!(row.gain[1] >= row.gain[0] - 1e-12);
             assert!(row.gain[2] >= row.gain[1] - 1e-12);
@@ -127,8 +119,7 @@ mod tests {
     fn typical_corner_matches_paper_band() {
         // Paper: "gains of 35% for the typical process corner with no
         // performance degradation". Our calibration: 30-50%.
-        let d = DvsBusDesign::paper_default();
-        let data = run(&d, 5_000, 5);
+        let data = figure(5_000, 5);
         let typical = &data.rows[2];
         assert!(
             (0.25..0.55).contains(&typical.gain[0]),

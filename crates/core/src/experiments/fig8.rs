@@ -4,7 +4,6 @@
 
 use crate::design::DvsBusDesign;
 use crate::sim::{BusSimulator, SimReport, VoltageSample};
-use razorbus_ctrl::ThresholdController;
 use razorbus_process::PvtCorner;
 use razorbus_traces::Benchmark;
 
@@ -30,65 +29,22 @@ pub struct Fig8Data {
     pub samples: Vec<VoltageSample>,
 }
 
-/// Runs the ten benchmarks consecutively (each `cycles_per_benchmark`
-/// cycles) under one controller that is *not* reset between programs —
-/// exactly the Fig. 8 setup, starting from the nominal supply.
-#[must_use]
-pub fn run(
-    design: &DvsBusDesign,
-    corner: PvtCorner,
-    cycles_per_benchmark: u64,
-    seed: u64,
-) -> Fig8Data {
-    run_inner(design, corner, cycles_per_benchmark, seed, false).0
-}
-
-/// Same consecutive run, additionally returning each benchmark's
-/// sweep-engine summary, collected as a by-product of the closed loop
-/// (same trace words, one pass). The summaries are bit-identical to
-/// [`crate::TraceSummary::collect`] over the same `(benchmark, seed,
-/// cycles)` and are corner-independent — `repro all` and Table 1 use
-/// this to avoid a second 10-benchmark pass.
-#[must_use]
-pub fn run_with_summaries(
-    design: &DvsBusDesign,
-    corner: PvtCorner,
-    cycles_per_benchmark: u64,
-    seed: u64,
-) -> (Fig8Data, Vec<(Benchmark, crate::TraceSummary)>) {
-    let (data, summaries) = run_inner(design, corner, cycles_per_benchmark, seed, true);
-    (data, summaries)
-}
-
-fn run_inner(
-    design: &DvsBusDesign,
-    corner: PvtCorner,
-    cycles_per_benchmark: u64,
-    seed: u64,
-    with_summaries: bool,
-) -> (Fig8Data, Vec<(Benchmark, crate::TraceSummary)>) {
-    let controller = ThresholdController::new(design.controller_config(corner.process));
-    run_protocol(
-        design,
-        corner,
-        cycles_per_benchmark,
-        seed,
-        controller,
-        Some(10_000),
-        with_summaries,
-    )
-}
-
 /// The Fig. 8 *protocol* over an arbitrary governor: the ten benchmarks
 /// run consecutively, each `cycles_per_benchmark` cycles, with the
 /// governor carried (not reset) across program boundaries.
 ///
-/// [`run`] is this with the paper's threshold controller and the 10 k
-/// sampling window; the scenario layer calls it with spec-built governors
-/// (`razorbus_ctrl::GovernorSpec::build`) so governor sweeps reuse the
-/// exact closed-loop machinery the paper figures are generated by —
-/// differential tests pin the boxed-governor path bit-identical to the
-/// concrete one.
+/// Fig. 8 itself is this with the paper's threshold controller and the
+/// 10 k sampling window, starting from the nominal supply. The scenario
+/// layer (`razorbus_scenario::paper::fig8_set`) calls it with spec-built
+/// governors (`razorbus_ctrl::GovernorSpec::build`) so governor sweeps
+/// reuse the exact closed-loop machinery the paper figures are generated
+/// by — differential tests pin the boxed-governor path bit-identical to
+/// a concrete `razorbus_ctrl::ThresholdController`.
+///
+/// With `with_summaries`, each program's sweep-engine summary is
+/// collected as a by-product of the same pass: bit-identical to
+/// [`crate::TraceSummary::collect`] over the same `(benchmark, seed,
+/// cycles)`, and corner-independent.
 #[must_use]
 pub fn run_protocol<G: razorbus_ctrl::VoltageGovernor>(
     design: &DvsBusDesign,
@@ -204,27 +160,6 @@ pub fn replay_protocol<G: razorbus_ctrl::VoltageGovernor>(
     )
 }
 
-/// Compiles the ten-benchmark suite against `design`: one
-/// [`crate::CompiledTrace`] per program in [`Benchmark::ALL`] order,
-/// ready for [`replay_protocol`].
-#[must_use]
-pub fn compile_suite(
-    design: &DvsBusDesign,
-    cycles_per_benchmark: u64,
-    seed: u64,
-) -> Vec<std::sync::Arc<crate::CompiledTrace>> {
-    Benchmark::ALL
-        .into_iter()
-        .map(|benchmark| {
-            std::sync::Arc::new(crate::CompiledTrace::compile(
-                design,
-                &mut benchmark.trace(seed),
-                cycles_per_benchmark,
-            ))
-        })
-        .collect()
-}
-
 impl Fig8Data {
     /// Overall energy gain across the whole consecutive run.
     #[must_use]
@@ -289,6 +224,29 @@ impl Fig8Data {
     }
 }
 
+/// Fig. 8 as the paper runs it: the threshold controller, sampled every
+/// 10 k cycles (the unit tests' reference loop).
+#[cfg(test)]
+pub(crate) fn paper_loop(
+    design: &DvsBusDesign,
+    corner: PvtCorner,
+    cycles_per_benchmark: u64,
+    seed: u64,
+) -> Fig8Data {
+    let controller =
+        razorbus_ctrl::ThresholdController::new(design.controller_config(corner.process));
+    run_protocol(
+        design,
+        corner,
+        cycles_per_benchmark,
+        seed,
+        controller,
+        Some(10_000),
+        false,
+    )
+    .0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,7 +254,7 @@ mod tests {
     #[test]
     fn consecutive_run_adapts_per_program() {
         let d = DvsBusDesign::paper_default();
-        let data = run(&d, PvtCorner::TYPICAL, 60_000, 3);
+        let data = paper_loop(&d, PvtCorner::TYPICAL, 60_000, 3);
         assert_eq!(data.segments.len(), 10);
         // No silent corruption anywhere.
         assert!(data
@@ -333,7 +291,7 @@ mod tests {
         // The scenario executor drives this protocol through spec-built
         // boxed governors; the indirection must not change a single bit.
         let d = DvsBusDesign::paper_default();
-        let concrete = run(&d, PvtCorner::TYPICAL, 30_000, 3);
+        let concrete = paper_loop(&d, PvtCorner::TYPICAL, 30_000, 3);
         let boxed = razorbus_ctrl::GovernorSpec::Threshold
             .build(d.controller_config(PvtCorner::TYPICAL.process));
         let (data, per) =
@@ -349,8 +307,17 @@ mod tests {
         // same governor — the whole point of sharing compiled traces
         // across sweep members.
         let d = DvsBusDesign::paper_default();
-        let compiled = compile_suite(&d, 30_000, 3);
-        let live = run(&d, PvtCorner::TYPICAL, 30_000, 3);
+        let compiled: Vec<_> = Benchmark::ALL
+            .into_iter()
+            .map(|benchmark| {
+                std::sync::Arc::new(crate::CompiledTrace::compile(
+                    &d,
+                    &mut benchmark.trace(3),
+                    30_000,
+                ))
+            })
+            .collect();
+        let live = paper_loop(&d, PvtCorner::TYPICAL, 30_000, 3);
         let boxed = razorbus_ctrl::GovernorSpec::Threshold
             .build(d.controller_config(PvtCorner::TYPICAL.process));
         let (replayed, per) =
@@ -390,7 +357,7 @@ mod tests {
     #[test]
     fn samples_are_globally_ordered() {
         let d = DvsBusDesign::paper_default();
-        let data = run(&d, PvtCorner::TYPICAL, 30_000, 1);
+        let data = paper_loop(&d, PvtCorner::TYPICAL, 30_000, 1);
         assert!(data.samples.windows(2).all(|w| w[0].cycle < w[1].cycle));
         // 3 windows of 10k per 30k-cycle program, 10 programs.
         assert_eq!(data.samples.len(), 30);

@@ -1,17 +1,24 @@
-//! One driver per table/figure of the paper's evaluation.
+//! The figure kernels of the paper's evaluation.
 //!
-//! | Paper artifact | Function | Output |
+//! Fig. 4, Fig. 5, Fig. 8, Table 1 and Fig. 10 are scenario sets: their
+//! one entry point is `razorbus_scenario::paper` (a set plus an adapter),
+//! and the adapter builds the figure here from the executor's shared
+//! heavy inputs. Fig. 6 and the §6 scaling study still run on their own.
+//!
+//! | Paper artifact | Kernel | Output |
 //! |---|---|---|
-//! | Fig. 4a/4b | [`fig4::run`] | energy & error rate vs. VDD |
-//! | Fig. 5 | [`fig5::run`] | energy gain vs. delay@1.2 V per corner/target |
+//! | Fig. 4a/4b | [`fig4::from_summary`] | energy & error rate vs. VDD |
+//! | Fig. 5 | [`fig5::from_summary`] | energy gain vs. delay@1.2 V per corner/target |
 //! | Fig. 6 | [`fig6::run`] | oracle voltage residency per program |
-//! | Fig. 8 | [`fig8::run`] | closed-loop VDD / error-rate trajectory |
-//! | Table 1 | [`table1::run`] | fixed-VS vs. proposed-DVS gains per program |
-//! | Fig. 10 + §6 | [`fig10::run`] | modified-bus gains |
+//! | Fig. 8 | [`fig8::run_protocol`] / [`fig8::replay_protocol`] | closed-loop VDD / error-rate trajectory |
+//! | Table 1 | [`table1::from_parts`] | fixed-VS vs. proposed-DVS gains per program |
+//! | Fig. 10 + §6 | [`fig10::from_parts`] | modified-bus gains |
 //! | §6 scaling | [`scaling::run`] | technology-node trends |
 //!
-//! Every driver returns a printable data structure; the `razorbus-bench`
-//! crate exposes them as Criterion benches and the `repro` binary.
+//! The `from_*` kernels take a [`SummaryBank`] (or its combined summary)
+//! and the Fig. 8 closed-loop runs, so one collection serves every
+//! figure. Each returns a printable data structure; the `repro` binary
+//! in `razorbus-bench` prints them.
 
 pub mod fig10;
 pub mod fig4;
@@ -24,33 +31,6 @@ pub mod table1;
 use crate::design::DvsBusDesign;
 use crate::summary::TraceSummary;
 use razorbus_traces::Benchmark;
-
-/// Collects per-benchmark summaries (all ten programs) in parallel.
-#[must_use]
-pub fn per_benchmark_summaries(
-    design: &DvsBusDesign,
-    cycles_per_benchmark: u64,
-    seed: u64,
-) -> Vec<(Benchmark, TraceSummary)> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = Benchmark::ALL
-            .iter()
-            .map(|&b| {
-                scope.spawn(move || {
-                    let mut trace = b.trace(seed);
-                    (
-                        b,
-                        TraceSummary::collect(design, &mut trace, cycles_per_benchmark),
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("summary worker"))
-            .collect()
-    })
-}
 
 /// The per-benchmark histograms plus their all-programs merge, collected
 /// once and then reused across every static sweep.
@@ -103,12 +83,31 @@ impl SummaryBank {
     /// merges them.
     #[must_use]
     pub fn collect(design: &DvsBusDesign, cycles_per_benchmark: u64, seed: u64) -> Self {
-        Self::from_per_benchmark(per_benchmark_summaries(design, cycles_per_benchmark, seed))
+        let per = std::thread::scope(|scope| {
+            let handles: Vec<_> = Benchmark::ALL
+                .iter()
+                .map(|&b| {
+                    scope.spawn(move || {
+                        let mut trace = b.trace(seed);
+                        (
+                            b,
+                            TraceSummary::collect(design, &mut trace, cycles_per_benchmark),
+                        )
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("summary worker"))
+                .collect()
+        });
+        Self::from_per_benchmark(per)
     }
 
     /// Builds a bank from already-collected per-benchmark summaries —
-    /// e.g. the by-product of [`fig8::run_with_summaries`], which shares
-    /// one trace pass between the closed loop and the sweep engine.
+    /// e.g. the histogram by-product of [`fig8::run_protocol`] or
+    /// [`fig8::replay_protocol`] with `with_summaries`, which shares one
+    /// trace pass between the closed loop and the sweep engine.
     ///
     /// # Panics
     ///
@@ -144,27 +143,9 @@ impl SummaryBank {
     }
 }
 
-/// Merges all ten benchmarks into one combined summary (the "running all
-/// the benchmark programs" aggregation of Figs. 4/5).
-#[must_use]
-pub fn combined_summary(
-    design: &DvsBusDesign,
-    cycles_per_benchmark: u64,
-    seed: u64,
-) -> TraceSummary {
-    SummaryBank::collect(design, cycles_per_benchmark, seed).into_combined()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn combined_summary_spans_all_benchmarks() {
-        let d = DvsBusDesign::paper_default();
-        let s = combined_summary(&d, 2_000, 1);
-        assert_eq!(s.cycles(), 20_000);
-    }
 
     #[test]
     fn summary_bank_combined_matches_manual_merge() {
@@ -177,6 +158,8 @@ mod tests {
             merged.merge(s);
         }
         assert_eq!(bank.combined().cycles(), merged.cycles());
+        // The merge spans all ten programs' cycles.
+        assert_eq!(bank.combined().cycles(), 20_000);
         let v = razorbus_units::Millivolts::new(900);
         let pvt = razorbus_process::PvtCorner::TYPICAL;
         assert_eq!(

@@ -6,7 +6,7 @@
 //! therefore, can be expected to scale well with technology."
 
 use crate::design::DvsBusDesign;
-use crate::experiments::combined_summary;
+use crate::experiments::SummaryBank;
 use razorbus_process::{ProcessCorner, PvtCorner, TechnologyNode};
 use razorbus_units::Picoseconds;
 
@@ -49,7 +49,7 @@ pub fn run(cycles_per_benchmark: u64, seed: u64) -> ScalingData {
         .map(|&node| {
             let design = DvsBusDesign::for_technology(node).expect("node design");
             let bus = design.bus();
-            let summary = combined_summary(&design, cycles_per_benchmark, seed);
+            let summary = SummaryBank::collect(&design, cycles_per_benchmark, seed).into_combined();
             let corner = PvtCorner::TYPICAL;
             let v = summary.lowest_voltage_for_error_rate(&design, corner, 0.02);
             let gain = summary.energy_gain(&design, corner, v);

@@ -40,26 +40,10 @@ pub struct Table1Data {
     pub corners: Vec<Table1Corner>,
 }
 
-/// Builds Table 1: fixed-VS gains from the per-benchmark summaries, DVS
-/// gains from consecutive closed-loop runs (the Fig. 8 protocol).
-///
-/// Collects the summary bank once (it is corner-independent) and runs
-/// one closed loop per corner; [`from_parts`] accepts those inputs
-/// pre-collected when the caller (e.g. `repro all`) shares them with
-/// other drivers.
-#[must_use]
-pub fn run(design: &DvsBusDesign, cycles_per_benchmark: u64, seed: u64) -> Table1Data {
-    // The typical-corner closed loop doubles as the summary pass: same
-    // trace words, one traversal.
-    let (typical, per) =
-        fig8::run_with_summaries(design, PvtCorner::TYPICAL, cycles_per_benchmark, seed);
-    let bank = SummaryBank::from_per_benchmark(per);
-    let worst = fig8::run(design, PvtCorner::WORST, cycles_per_benchmark, seed);
-    from_parts(design, &bank, &worst, &typical)
-}
-
-/// Builds Table 1 from pre-collected inputs: the shared summary bank and
-/// the two corners' consecutive closed-loop runs.
+/// Builds Table 1: fixed-VS gains from the per-benchmark summaries in
+/// `bank`, DVS gains from the two corners' consecutive closed-loop runs
+/// (the Fig. 8 protocol). The bank is corner-independent, so one
+/// collection serves both corners.
 #[must_use]
 pub fn from_parts(
     design: &DvsBusDesign,
@@ -175,7 +159,12 @@ mod tests {
     #[test]
     fn table1_reproduces_paper_structure() {
         let d = DvsBusDesign::paper_default();
-        let t = run(&d, 40_000, 2);
+        let t = from_parts(
+            &d,
+            &SummaryBank::collect(&d, 40_000, 2),
+            &fig8::paper_loop(&d, PvtCorner::WORST, 40_000, 2),
+            &fig8::paper_loop(&d, PvtCorner::TYPICAL, 40_000, 2),
+        );
         assert_eq!(t.corners.len(), 2);
         let worst = &t.corners[0];
         let typical = &t.corners[1];

@@ -12,9 +12,10 @@
 //! * [`TraceSummary`] / [`WindowedSummary`] — compact per-trace
 //!   histograms that make whole voltage sweeps O(1) per grid point
 //!   (the same trick as the paper's per-pattern tables).
-//! * [`experiments`] — one driver per table/figure of the paper's
-//!   evaluation (Fig. 4, 5, 6, 8, 10, Table 1, and the §6 scaling
-//!   study), each returning printable structured data.
+//! * [`experiments`] — the figure kernels of the paper's evaluation
+//!   (Fig. 4, 5, 6, 8, 10, Table 1, and the §6 scaling study), each
+//!   returning printable structured data. `razorbus_scenario::paper`
+//!   drives the five scenario-backed figures through them.
 //!
 //! # Quickstart
 //!

@@ -2,11 +2,15 @@
 //! adapters that turn executor products back into the exact figure data
 //! structures of `razorbus_core::experiments`.
 //!
-//! Each adapter calls the same `from_summary`/`from_parts` kernels the
-//! legacy experiment functions use over the same (shared, deduplicated)
-//! heavy inputs, so the scenario-driven figures are **bit-identical**
-//! to `experiments::fig4::run` & friends — pinned by the differential
-//! tests in `tests/differential.rs`.
+//! This is the one public entry point for Fig. 4, Fig. 5, Fig. 8,
+//! Table 1 and Fig. 10: run the figure's set (or [`paper_all_set`],
+//! which shares heavy inputs across all five), then call its adapter.
+//! Each adapter feeds the executor's (shared, deduplicated) products to
+//! the core `from_summary`/`from_parts` kernels. The differential tests
+//! in `tests/differential.rs` pin every figure **bit-identical** to
+//! those kernels fed directly — `SummaryBank::collect` and
+//! `fig8::run_protocol` with a concrete threshold controller, no
+//! executor in between.
 
 use crate::exec::{ScenarioSet, ScenarioSetRun};
 use crate::result::{LoopData, MemberResult, SweepData};

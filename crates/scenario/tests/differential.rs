@@ -1,12 +1,18 @@
 //! Differential pins: every paper figure produced through the scenario
-//! executor must be **bit-identical** to the legacy experiment
-//! functions it refactors (`experiments::fig4::run` & friends), which
-//! stay in place as thin wrappers around the shared kernels.
+//! executor must be **bit-identical** to the same figure built by
+//! feeding the core kernels directly — `SummaryBank::collect` for the
+//! static sweeps, `fig8::run_protocol` with a concrete
+//! `ThresholdController` for the closed loops, then the
+//! `from_summary`/`from_parts` kernels. That reference shares no code
+//! with the executor's planning, deduplication, compiled-trace replay or
+//! boxed governors.
 //!
 //! Identity is asserted on the full `Debug` rendering — every voltage,
 //! energy ratio and error count, not a summary statistic.
 
-use razorbus_core::{experiments, DvsBusDesign};
+use razorbus_core::experiments::{fig10, fig4, fig5, fig8, table1, SummaryBank};
+use razorbus_core::DvsBusDesign;
+use razorbus_ctrl::ThresholdController;
 use razorbus_process::PvtCorner;
 use razorbus_scenario::paper;
 
@@ -17,58 +23,90 @@ fn debug<T: std::fmt::Debug>(value: &T) -> String {
     format!("{value:?}")
 }
 
+/// The Fig. 8 closed loop without the executor: the paper's threshold
+/// controller, sampled every 10 k cycles.
+fn direct_loop(design: &DvsBusDesign, corner: PvtCorner) -> fig8::Fig8Data {
+    let controller = ThresholdController::new(design.controller_config(corner.process));
+    fig8::run_protocol(
+        design,
+        corner,
+        CYCLES,
+        SEED,
+        controller,
+        Some(10_000),
+        false,
+    )
+    .0
+}
+
 #[test]
-fn fig4_both_panels_match_legacy() {
+fn fig4_both_panels_match_direct_kernels() {
     let design = DvsBusDesign::paper_default();
     let run = paper::fig4_set(CYCLES, SEED).run().unwrap();
+    let bank = SummaryBank::collect(&design, CYCLES, SEED);
     for (member, corner) in [
         ("fig4@worst", PvtCorner::WORST),
         ("fig4@typical", PvtCorner::TYPICAL),
     ] {
         let scenario = paper::fig4_panel(&run, member).unwrap();
-        let legacy = experiments::fig4::run(&design, corner, CYCLES, SEED);
-        assert_eq!(debug(&scenario), debug(&legacy), "{member}");
+        let direct = fig4::from_summary(&design, corner, bank.combined());
+        assert_eq!(debug(&scenario), debug(&direct), "{member}");
     }
 }
 
 #[test]
-fn fig5_matches_legacy() {
+fn fig5_matches_direct_kernels() {
     let design = DvsBusDesign::paper_default();
     let run = paper::fig5_set(CYCLES, SEED).run().unwrap();
     let scenario = paper::fig5_data(&run).unwrap();
-    let legacy = experiments::fig5::run(&design, CYCLES, SEED);
-    assert_eq!(debug(&scenario), debug(&legacy));
+    let direct = fig5::from_summary(
+        &design,
+        SummaryBank::collect(&design, CYCLES, SEED).combined(),
+    );
+    assert_eq!(debug(&scenario), debug(&direct));
 }
 
 #[test]
-fn fig8_matches_legacy() {
+fn fig8_matches_direct_kernels() {
     let design = DvsBusDesign::paper_default();
     let run = paper::fig8_set(CYCLES, SEED).run().unwrap();
     let scenario = paper::fig8_data(&run).unwrap();
-    let legacy = experiments::fig8::run(&design, PvtCorner::TYPICAL, CYCLES, SEED);
+    let direct = direct_loop(&design, PvtCorner::TYPICAL);
     // Fig8Data derives PartialEq: assert true bit-identity, then the
     // rendering too (what `repro` prints).
-    assert_eq!(*scenario, legacy);
-    assert_eq!(debug(scenario), debug(&legacy));
+    assert_eq!(*scenario, direct);
+    assert_eq!(debug(scenario), debug(&direct));
 }
 
 #[test]
-fn table1_matches_legacy() {
+fn table1_matches_direct_kernels() {
     let design = DvsBusDesign::paper_default();
     let run = paper::table1_set(CYCLES, SEED).run().unwrap();
     let scenario = paper::table1_data(&run).unwrap();
-    let legacy = experiments::table1::run(&design, CYCLES, SEED);
-    assert_eq!(debug(&scenario), debug(&legacy));
+    let direct = table1::from_parts(
+        &design,
+        &SummaryBank::collect(&design, CYCLES, SEED),
+        &direct_loop(&design, PvtCorner::WORST),
+        &direct_loop(&design, PvtCorner::TYPICAL),
+    );
+    assert_eq!(debug(&scenario), debug(&direct));
 }
 
 #[test]
-fn fig10_matches_legacy() {
+fn fig10_matches_direct_kernels() {
     let design = DvsBusDesign::paper_default();
     let modified = DvsBusDesign::modified_paper_bus();
     let run = paper::fig10_set(CYCLES, SEED).run().unwrap();
     let scenario = paper::fig10_data(&run).unwrap();
-    let legacy = experiments::fig10::run(&design, &modified, CYCLES, SEED);
-    assert_eq!(debug(&scenario), debug(&legacy));
+    let direct = fig10::from_parts(
+        &design,
+        &modified,
+        SummaryBank::collect(&design, CYCLES, SEED).combined(),
+        SummaryBank::collect(&modified, CYCLES, SEED).combined(),
+        &direct_loop(&design, PvtCorner::WORST),
+        &direct_loop(&modified, PvtCorner::WORST),
+    );
+    assert_eq!(debug(&scenario), debug(&direct));
 }
 
 #[test]

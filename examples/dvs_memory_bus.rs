@@ -9,19 +9,23 @@
 //! RAZORBUS_CYCLES=10000000 cargo run --release --example dvs_memory_bus
 //! ```
 
-use razorbus::core::{experiments, DvsBusDesign};
-use razorbus::process::PvtCorner;
+use razorbus::scenario::{paper, LoopData};
 
 fn main() {
-    let cycles: u64 = std::env::var("RAZORBUS_CYCLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
+    let cycles = razorbus::core::env_knob("RAZORBUS_CYCLES", 1)
+        .unwrap_or_else(|e| fail(&e))
         .unwrap_or(1_000_000);
-    let design = DvsBusDesign::paper_default();
+    // Table 1's set runs the Fig. 8 protocol at both headline corners.
+    let run = paper::table1_set(cycles, 7)
+        .run()
+        .unwrap_or_else(|e| fail(&e));
 
-    for corner in [PvtCorner::WORST, PvtCorner::TYPICAL] {
-        println!("================ {corner} ================");
-        let data = experiments::fig8::run(&design, corner, cycles, 7);
+    for member in ["table1@worst", "table1@typical"] {
+        let m = run.result.member(member).unwrap_or_else(|e| fail(&e));
+        let Some(LoopData::Suite(data)) = &m.closed_loop else {
+            fail(&format!("member `{member}` carries no suite closed loop"));
+        };
+        println!("================ {} ================", data.corner);
         for (i, seg) in data.segments.iter().enumerate() {
             println!(
                 "{:>2}. {:<8} gain {:>5.1}%  err {:>5.2}%  V in [{}, {:.0}] mV",
@@ -40,4 +44,9 @@ fn main() {
             data.peak_window_error_rate() * 100.0,
         );
     }
+}
+
+fn fail(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
 }

@@ -7,11 +7,11 @@
 //! ```
 
 use razorbus::core::{experiments, DvsBusDesign};
+use razorbus::scenario::paper;
 
 fn main() {
-    let cycles: u64 = std::env::var("RAZORBUS_CYCLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
+    let cycles = razorbus::core::env_knob("RAZORBUS_CYCLES", 1)
+        .unwrap_or_else(|e| fail(&e))
         .unwrap_or(200_000);
 
     let base = DvsBusDesign::paper_default();
@@ -30,10 +30,17 @@ fn main() {
         modified.bus().min_path_delay(),
     );
 
-    let fig10 = experiments::fig10::run(&base, &modified, cycles, 13);
-    fig10.print();
+    let run = paper::fig10_set(cycles, 13)
+        .run()
+        .unwrap_or_else(|e| fail(&e));
+    paper::fig10_data(&run).unwrap_or_else(|e| fail(&e)).print();
 
     println!();
     let scaling = experiments::scaling::run(cycles / 2, 13);
     scaling.print();
+}
+
+fn fail(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
 }

@@ -6,19 +6,27 @@
 //! cargo run --release --example static_scaling_explorer
 //! ```
 
-use razorbus::core::{experiments, DvsBusDesign};
-use razorbus::process::PvtCorner;
+use razorbus::scenario::{paper, ScenarioSet};
 
 fn main() {
-    let cycles: u64 = std::env::var("RAZORBUS_CYCLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
+    let cycles = razorbus::core::env_knob("RAZORBUS_CYCLES", 1)
+        .unwrap_or_else(|e| fail(&e))
         .unwrap_or(200_000);
-    let design = DvsBusDesign::paper_default();
+
+    // Figs. 4 and 5 as one set: the executor collects the shared
+    // all-programs summary once for both.
+    let mut members = paper::fig4_set(cycles, 11).members;
+    members.extend(paper::fig5_set(cycles, 11).members);
+    let run = ScenarioSet {
+        name: "static-scaling".to_string(),
+        members,
+    }
+    .run()
+    .unwrap_or_else(|e| fail(&e));
 
     // Fig. 4: the two corners the paper plots.
-    for corner in [PvtCorner::WORST, PvtCorner::TYPICAL] {
-        let data = experiments::fig4::run(&design, corner, cycles, 11);
+    for member in ["fig4@worst", "fig4@typical"] {
+        let data = paper::fig4_panel(&run, member).unwrap_or_else(|e| fail(&e));
         data.print();
         match data.first_failure_voltage() {
             Some(v) => println!("  first failures appear at {v}\n"),
@@ -27,7 +35,7 @@ fn main() {
     }
 
     // Fig. 5: all five corners, three target error rates.
-    let fig5 = experiments::fig5::run(&design, cycles, 11);
+    let fig5 = paper::fig5_data(&run).unwrap_or_else(|e| fail(&e));
     fig5.print();
 
     // The §4 observation that 0% and 2% targets often coincide on the
@@ -38,4 +46,9 @@ fn main() {
         .filter(|r| r.voltage[0] == r.voltage[1])
         .count();
     println!("\ncorners where the 0% and 2% supplies coincide on the 20 mV grid: {coincident}/5");
+}
+
+fn fail(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
 }

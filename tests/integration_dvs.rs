@@ -6,24 +6,43 @@
 use razorbus::core::{experiments, BusSimulator, DvsBusDesign};
 use razorbus::ctrl::{FixedVoltage, ThresholdController};
 use razorbus::process::PvtCorner;
+use razorbus::scenario::{paper, ScenarioSet, ScenarioSetRun};
 use razorbus::traces::Benchmark;
 use razorbus::units::Millivolts;
+use std::sync::OnceLock;
 
 const CYCLES: u64 = 400_000;
+
+/// The Fig. 8 and Table 1 sets as one run at seed 5: the executor runs
+/// the typical-corner loop once for both, plus the worst-corner loop.
+fn closed_loops() -> &'static ScenarioSetRun {
+    static RUN: OnceLock<ScenarioSetRun> = OnceLock::new();
+    RUN.get_or_init(|| {
+        let mut members = paper::fig8_set(CYCLES, 5).members;
+        members.extend(paper::table1_set(CYCLES, 5).members);
+        ScenarioSet {
+            name: "closed-loops".to_string(),
+            members,
+        }
+        .run()
+        .unwrap()
+    })
+}
 
 #[test]
 fn worst_corner_dvs_band() {
     // Paper Table 1 (slow, 100C, 10% IR): per-benchmark DVS gains 1.2%
     // to 17.5%, combined error < 2.3%, light programs far above heavy.
-    let design = DvsBusDesign::paper_default();
-    let data = experiments::fig8::run(&design, PvtCorner::WORST, CYCLES, 5);
+    let table = paper::table1_data(closed_loops()).unwrap();
+    let worst = &table.corners[0];
+    assert_eq!(worst.corner, PvtCorner::WORST);
     let gain = |b: Benchmark| {
-        data.segments
+        worst
+            .rows
             .iter()
-            .find(|s| s.benchmark == b)
+            .find(|r| r.benchmark == b)
             .unwrap()
-            .report
-            .energy_gain()
+            .dvs_gain
     };
     for light in [Benchmark::Crafty, Benchmark::Mesa] {
         assert!(
@@ -40,9 +59,9 @@ fn worst_corner_dvs_band() {
         );
     }
     assert!(gain(Benchmark::Crafty) > 2.0 * gain(Benchmark::Mgrid));
-    let total = data.total_energy_gain();
+    let total = worst.total.dvs_gain;
     assert!((0.02..0.20).contains(&total), "total {total}");
-    assert!(data.total_error_rate() < 0.025);
+    assert!(worst.total.dvs_error_rate < 0.025);
 }
 
 #[test]
@@ -50,8 +69,7 @@ fn typical_corner_dvs_band() {
     // Paper Table 1 (typical, 100C, no IR): gains 34.6-45.2%, total
     // 38.6%, error ~1.4%. With the descent transient at 400k cycles we
     // accept 25-50%.
-    let design = DvsBusDesign::paper_default();
-    let data = experiments::fig8::run(&design, PvtCorner::TYPICAL, CYCLES, 5);
+    let data = paper::fig8_data(closed_loops()).unwrap();
     for seg in &data.segments {
         let g = seg.report.energy_gain();
         assert!(
@@ -77,8 +95,7 @@ fn typical_corner_dvs_band() {
 fn instantaneous_error_spikes_from_regulator_lag() {
     // Fig. 8: instantaneous error rates overshoot the 2% band (up to
     // ~6%) because the regulator takes 3000 cycles to ramp.
-    let design = DvsBusDesign::paper_default();
-    let data = experiments::fig8::run(&design, PvtCorner::TYPICAL, CYCLES, 5);
+    let data = paper::fig8_data(closed_loops()).unwrap();
     let peak = data.peak_window_error_rate();
     assert!(peak > 0.02, "no overshoot observed: peak {peak}");
     assert!(peak < 0.25, "implausible overshoot: peak {peak}");
@@ -142,25 +159,27 @@ fn controller_recovers_after_hot_phase() {
 #[test]
 fn modified_bus_beats_original_at_worst_corner() {
     // §6: worst-corner DVS average gain 6.3% -> 8.2% for the modified
-    // bus; we assert the direction with margin for trace scale.
-    let base = DvsBusDesign::paper_default();
-    let modified = DvsBusDesign::modified_paper_bus();
-    let d_base = experiments::fig8::run(&base, PvtCorner::WORST, 200_000, 5);
-    let d_mod = experiments::fig8::run(&modified, PvtCorner::WORST, 200_000, 5);
+    // bus. The reproduction does not show that lift yet: this is the §6
+    // open known gap (ROADMAP.md, item 1), so the bound only keeps the
+    // modified bus from falling more than 0.5 pp behind the original.
+    let run = paper::fig10_set(200_000, 5).run().unwrap();
+    let data = paper::fig10_data(&run).unwrap();
+    let (base, modified) = data.worst_corner_dvs_gain;
     assert!(
-        d_mod.total_energy_gain() > d_base.total_energy_gain() - 0.005,
-        "modified {} vs base {}",
-        d_mod.total_energy_gain(),
-        d_base.total_energy_gain()
+        modified > base - 0.005,
+        "modified {modified} vs base {base}"
     );
-    assert!(d_mod.total_error_rate() < 0.03);
+    assert!(data.worst_corner_dvs_error.1 < 0.03);
 }
 
 #[test]
 fn fig4_combined_curves_have_paper_shape() {
-    let design = DvsBusDesign::paper_default();
-    for (corner, early_fail) in [(PvtCorner::WORST, true), (PvtCorner::TYPICAL, false)] {
-        let data = experiments::fig4::run(&design, corner, 50_000, 7);
+    let run = paper::fig4_set(50_000, 7).run().unwrap();
+    for (member, corner, early_fail) in [
+        ("fig4@worst", PvtCorner::WORST, true),
+        ("fig4@typical", PvtCorner::TYPICAL, false),
+    ] {
+        let data = paper::fig4_panel(&run, member).unwrap();
         let first_fail = data.first_failure_voltage().unwrap();
         if early_fail {
             assert!(
