@@ -14,7 +14,8 @@
 //!   loop, its cycle-at-a-time reference loop (their ratio is the
 //!   fast-path speedup), the sweep-engine collector, the wire analyzer
 //!   (and its crosstalk-storm worst case, `analyze_cycle_storm`), the
-//!   compile/replay split, the fused multi-member replay at fan-in 1,
+//!   compile/replay split (plus `trace_compile_mixed`, the
+//!   Monte-Carlo campaigns' mostly-quiet mixed-recipe compile), the fused multi-member replay at fan-in 1,
 //!   4 and 16 (`fused_replay_f*` — member-cycles per second, growing
 //!   with fan-in as one streaming pass judges more members), and the
 //!   executor's aggregate sweep throughput at 1, 2
@@ -42,7 +43,7 @@ use razorbus_core::{
 };
 use razorbus_ctrl::ThresholdController;
 use razorbus_process::{ProcessCorner, PvtCorner};
-use razorbus_scenario::{catalog, paper};
+use razorbus_scenario::{catalog, paper, WorkloadSpec};
 use razorbus_traces::{AdversarialCrosstalk, Benchmark, TraceSource};
 use razorbus_units::Millivolts;
 use std::time::Instant;
@@ -242,6 +243,24 @@ fn main() {
         std::hint::black_box(c.cycles());
         comp_cycles as f64 / 1e6 / start.elapsed().as_secs_f64()
     });
+    // The Monte-Carlo campaigns' compile shape: 50 k cycles of their
+    // mixed DMA/idle/storm recipe, mostly quiet cycles, over 16 trace
+    // seeds per timed call — the leg the bulk `fill_words` drain and
+    // the quiet-cycle skip are accountable for.
+    let mc = catalog::by_name("monte-carlo-dvs", cycles, REPRO_SEED).expect("catalog name");
+    let WorkloadSpec::Recipe(mixed) = mc.members[0].workload else {
+        unreachable!("the Monte-Carlo campaign runs a traffic recipe")
+    };
+    let (mixed_cycles, mixed_seeds) = (50_000u64, 16u64);
+    let compile_mixed = best_of_3(&mut || {
+        let start = Instant::now();
+        for seed in REPRO_SEED..REPRO_SEED + mixed_seeds {
+            let mut trace = mixed.build_trace(seed).expect("catalog recipes build");
+            let c = CompiledTrace::compile(&design, &mut trace, mixed_cycles);
+            std::hint::black_box(c.cycles());
+        }
+        (mixed_cycles * mixed_seeds) as f64 / 1e6 / start.elapsed().as_secs_f64()
+    });
     let compiled =
         CompiledTrace::compile(&design, &mut Benchmark::Gap.trace(REPRO_SEED), comp_cycles);
     let replay = best_of_3(&mut || {
@@ -290,7 +309,7 @@ fn main() {
     let fused_f4 = fused_at(4);
     let fused_f16 = fused_at(16);
     eprintln!(
-        "  components: batched {batched:.1} / reference {reference:.1} Mcyc/s (x{:.2}), collect {collect:.1}, analyze {analyze:.1} (storm {analyze_storm:.1}), compile {compile:.1}, replay {replay:.1} (fused f1 {fused_f1:.1} / f4 {fused_f4:.1} / f16 {fused_f16:.1})",
+        "  components: batched {batched:.1} / reference {reference:.1} Mcyc/s (x{:.2}), collect {collect:.1}, analyze {analyze:.1} (storm {analyze_storm:.1}), compile {compile:.1} (mixed {compile_mixed:.1}), replay {replay:.1} (fused f1 {fused_f1:.1} / f4 {fused_f4:.1} / f16 {fused_f16:.1})",
         batched / reference
     );
 
@@ -337,6 +356,7 @@ fn main() {
             ("analyze_cycle", round2(analyze)),
             ("analyze_cycle_storm", round2(analyze_storm)),
             ("trace_compile", round2(compile)),
+            ("trace_compile_mixed", round2(compile_mixed)),
             ("compiled_replay", round2(replay)),
             ("replay_speedup", round2(replay / batched)),
             ("fused_replay_f1", round2(fused_f1)),

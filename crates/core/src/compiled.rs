@@ -35,7 +35,7 @@ const DEFAULT_COMPILE_CHUNK: usize = 65_536;
 /// (`RAZORBUS_COMPILE_CHUNK`, default 64k). Each chunk is one
 /// independent analysis sub-job; smaller chunks expose more parallelism
 /// at more per-chunk overhead, and a stream no longer than one chunk
-/// compiles in one streaming pass.
+/// compiles as a single chunk ([`CompiledTrace::compile`]).
 ///
 /// # Panics
 ///
@@ -211,42 +211,34 @@ impl CompiledTrace {
     /// Drains `cycles` words from `trace` through `design`'s bus —
     /// exactly the word protocol of [`crate::BusSimulator::new`] (the
     /// first word primes `prev`) — and records each cycle's
-    /// classification, in one streaming pass.
+    /// classification.
     ///
-    /// The chunked pipeline ([`CompiledTrace::drain_words`] →
-    /// [`CompiledTrace::analyze_chunk`] → [`CompiledTrace::from_chunks`],
-    /// which the scenario executor spreads over its pool) is pinned
-    /// bit-identical to this pass at every chunk size.
+    /// This is the chunked pipeline over a single chunk:
+    /// [`CompiledTrace::drain_words`] → [`CompiledTrace::analyze_chunk`]
+    /// → [`CompiledTrace::from_chunks`], the same three phases the
+    /// scenario executor spreads over its pool in smaller chunks. It
+    /// buffers the `cycles + 1` drained words (4 B per cycle) next to
+    /// the compiled arrays. Its independent oracle is
+    /// [`crate::TraceSummary::collect`], which classifies the live
+    /// stream word by word: `compile(..).summary()` is pinned
+    /// bit-identical to it.
     ///
     /// # Panics
     ///
     /// Panics if `cycles == 0`.
     #[must_use]
     pub fn compile<S: TraceSource>(design: &DvsBusDesign, trace: &mut S, cycles: u64) -> Self {
-        assert!(cycles > 0, "need at least one cycle");
-        let mut analyzer = design.bus().analyzer();
-        let n = usize::try_from(cycles).expect("cycle count fits in memory");
-        let mut toggles = Vec::with_capacity(n);
-        let mut bins = Vec::with_capacity(n);
-        let mut switched = Vec::with_capacity(n);
-        let mut prev = trace.next_word();
-        for _ in 0..cycles {
-            let cur = trace.next_word();
-            let a = analyzer.analyze(prev, cur);
-            prev = cur;
-            let (t, b, s) = classify(&a);
-            toggles.push(t);
-            bins.push(b);
-            switched.push(s);
-        }
-        Self::from_arrays(design, cycles, toggles, bins, switched)
+        let words = Self::drain_words(trace, cycles);
+        let chunk = Self::analyze_chunk(design, &words, 0, words.len() - 1);
+        Self::from_chunks(design, cycles, vec![chunk])
     }
 
     /// Phase one of the chunked compile: drains `cycles + 1` words
-    /// from `trace` — the priming `prev` word plus one per cycle,
-    /// exactly the word protocol of [`CompiledTrace::compile`] — into a
-    /// buffer the analysis chunks index into (`words[c]`/`words[c + 1]`
-    /// are cycle `c`'s `(prev, cur)` pair).
+    /// from `trace` — the priming `prev` word plus one per cycle, the
+    /// word protocol of [`crate::BusSimulator::new`] — into a buffer
+    /// the analysis chunks index into (`words[c]`/`words[c + 1]` are
+    /// cycle `c`'s `(prev, cur)` pair). One
+    /// [`TraceSource::fill_words`] call fills the whole buffer.
     ///
     /// # Panics
     ///
@@ -255,18 +247,22 @@ impl CompiledTrace {
     pub fn drain_words<S: TraceSource>(trace: &mut S, cycles: u64) -> Vec<u32> {
         assert!(cycles > 0, "need at least one cycle");
         let n = usize::try_from(cycles).expect("cycle count fits in memory");
-        let mut words = Vec::with_capacity(n + 1);
-        for _ in 0..=n {
-            words.push(trace.next_word());
-        }
+        let mut words = vec![0u32; n.checked_add(1).expect("cycle count fits in memory")];
+        trace.fill_words(&mut words);
         words
     }
 
     /// Phase two of the chunked compile: classifies the `len` cycles
     /// starting at `start` against `design`'s bus. Pure in
     /// `(design, words, start, len)` — safe to run chunks in any order
-    /// on any thread. Each chunk gets its own whole-cycle cache
-    /// (results are cache-invariant, so chunk boundaries cannot show).
+    /// on any thread.
+    ///
+    /// The output arrays start zeroed, which is exactly a quiet cycle's
+    /// classification (no toggle, load bin 0, 0 fF/mm), so a cycle whose
+    /// masked words are equal is skipped outright; only toggling cycles
+    /// reach the analyzer. The analyzer's whole-cycle cache lives for
+    /// one call, and its results are cache-invariant, so chunk
+    /// boundaries cannot show.
     ///
     /// # Panics
     ///
@@ -278,16 +274,19 @@ impl CompiledTrace {
         start: usize,
         len: usize,
     ) -> CompiledChunk {
+        let pairs = &words[start..=start + len];
+        let mask = design.bus().layout().word_mask();
         let mut analyzer = design.bus().analyzer();
-        let mut toggles = Vec::with_capacity(len);
-        let mut bins = Vec::with_capacity(len);
-        let mut switched = Vec::with_capacity(len);
-        for c in start..start + len {
-            let a = analyzer.analyze(words[c], words[c + 1]);
-            let (t, b, s) = classify(&a);
-            toggles.push(t);
-            bins.push(b);
-            switched.push(s);
+        let mut toggles = vec![0u8; len];
+        let mut bins = vec![0u16; len];
+        let mut switched = vec![0.0f64; len];
+        let slots = toggles.iter_mut().zip(&mut bins).zip(&mut switched);
+        for (pair, ((t, b), s)) in pairs.windows(2).zip(slots) {
+            let (prev, cur) = (pair[0], pair[1]);
+            if (prev ^ cur) & mask == 0 {
+                continue;
+            }
+            (*t, *b, *s) = classify(&analyzer.analyze(prev, cur));
         }
         CompiledChunk {
             toggles,
@@ -298,7 +297,8 @@ impl CompiledTrace {
 
     /// Final phase of the chunked compile: concatenates slot-ordered
     /// chunks into the struct-of-arrays layout. `chunks` must cover
-    /// exactly `cycles` cycles in cycle order.
+    /// exactly `cycles` cycles in cycle order. The first chunk's arrays
+    /// are reused in place, so a one-chunk compile copies nothing.
     ///
     /// # Panics
     ///
@@ -307,9 +307,18 @@ impl CompiledTrace {
     pub fn from_chunks(design: &DvsBusDesign, cycles: u64, chunks: Vec<CompiledChunk>) -> Self {
         assert!(cycles > 0, "need at least one cycle");
         let n = usize::try_from(cycles).expect("cycle count fits in memory");
-        let mut toggles = Vec::with_capacity(n);
-        let mut bins = Vec::with_capacity(n);
-        let mut switched = Vec::with_capacity(n);
+        let mut chunks = chunks.into_iter();
+        let CompiledChunk {
+            mut toggles,
+            mut bins,
+            mut switched,
+        } = chunks
+            .next()
+            .expect("assembled chunks do not cover the cycle count");
+        let more = n.saturating_sub(toggles.len());
+        toggles.reserve_exact(more);
+        bins.reserve_exact(more);
+        switched.reserve_exact(more);
         for c in chunks {
             toggles.extend_from_slice(&c.toggles);
             bins.extend_from_slice(&c.bins);
@@ -483,7 +492,7 @@ mod tests {
         // The chunk pipeline's contract: any chunk size — one cycle
         // per chunk, a prime that never divides the cycle count, the
         // default, larger than the whole trace — assembles to exactly
-        // the streaming compile, across designs and generator families
+        // the one-chunk compile, across designs and generator families
         // (benchmark mixtures, adversarial storm traffic, uniform
         // random). PartialEq covers every array element and stamp.
         let cycles = 4_096u64;

@@ -141,6 +141,13 @@ impl TraceSource for Stream {
             Self::Recipe(trace) => trace.next_word(),
         }
     }
+
+    fn fill_words(&mut self, out: &mut [u32]) {
+        match self {
+            Self::Benchmark(trace) => trace.fill_words(out),
+            Self::Recipe(trace) => trace.fill_words(out),
+        }
+    }
 }
 
 /// Opens stream `b` (below [`stream_count`]) of `workload` at `seed`.
@@ -169,7 +176,7 @@ fn reopen_stream(workload: &WorkloadSpec, seed: u64, b: usize) -> Stream {
 /// [`Job::Compile`] builds one of these when it takes the chunked
 /// path, spawns a [`Job::CompileChunk`] per chunk, and the last chunk
 /// to finish assembles the trace and completes the stream exactly as
-/// the one-pass compile would.
+/// the one-chunk compile would.
 struct ChunkJob {
     /// Index into the plan's `compile_jobs`.
     c: usize,
@@ -190,7 +197,7 @@ struct ChunkJob {
 /// compile's serial drain spawns for each cycle chunk — both
 /// interleave with every other job on the pool.
 enum Job {
-    /// Compile stream `b` of `compile_jobs[c]`, in one pass or as
+    /// Compile stream `b` of `compile_jobs[c]`, as one chunk or as
     /// spawned chunks; the last stream to finish assembles the
     /// workload and spawns its replays.
     Compile(usize, usize),
@@ -813,9 +820,9 @@ impl ScenarioSet {
                 let mut stream = reopen_stream(&key.workload, key.seed, b);
                 // The one compile-mode rule: a lone worker or a stream
                 // one chunk covers has no chunk parallelism to win, so
-                // it streams in one pass (no word buffer, no assembly);
-                // anything else drains serially and fans its chunks
-                // out — bit-identical either way.
+                // it compiles as one chunk on this job; anything else
+                // drains serially and fans its chunks out as
+                // continuations — bit-identical either way.
                 if n_workers == 1 || key.cycles <= chunk_cycles as u64 {
                     let compiled = CompiledTrace::compile(design, &mut stream, key.cycles);
                     finish_compile(c, b, compiled, spawner);
@@ -1361,8 +1368,8 @@ mod tests {
         // compile must be invisible in campaign results: chunks far
         // below every stream (many CompileChunk continuations
         // interleaving with replays), an awkward prime, a chunk exactly
-        // one suite stream long and one beyond every stream (one-pass
-        // compiles), on 1 worker (always one pass), 2 workers and the
+        // one suite stream long and one beyond every stream (one-chunk
+        // compiles), on 1 worker (always one chunk), 2 workers and the
         // hardware default. The workloads span the paper suite, the
         // modified-coupling bus and crosstalk-storm traffic on it, each
         // shared by two governors; the oracle is the live path.

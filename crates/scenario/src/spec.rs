@@ -245,6 +245,26 @@ impl TraceSource for MixedTraffic {
             _ => self.storm.next_word(),
         }
     }
+
+    /// Splits the fill at phase boundaries and hands each piece to its
+    /// sub-generator's own bulk fill.
+    fn fill_words(&mut self, mut out: &mut [u32]) {
+        while !out.is_empty() {
+            while self.remaining == 0 {
+                self.phase = (self.phase + 1) % self.lens.len();
+                self.remaining = self.lens[self.phase];
+            }
+            let n = usize::try_from(self.remaining).map_or(out.len(), |r| r.min(out.len()));
+            let (head, rest) = out.split_at_mut(n);
+            match self.phase {
+                0 => self.dma.fill_words(head),
+                1 => self.idle.fill_words(head),
+                _ => self.storm.fill_words(head),
+            }
+            self.remaining -= n as u64;
+            out = rest;
+        }
+    }
 }
 
 /// [`TrafficRecipe::BurstyDma`] parameters. Rates are permille so specs

@@ -115,6 +115,41 @@ impl TraceSource for BurstyDma {
         self.prev = word;
         word
     }
+
+    /// One tight loop per phase: a burst is a run of raw random words,
+    /// and an idle stretch without housekeeping is the held word.
+    fn fill_words(&mut self, mut out: &mut [u32]) {
+        while !out.is_empty() {
+            if self.remaining == 0 {
+                let next_burst = !self.in_burst;
+                self.start_phase(next_burst);
+            }
+            let n = usize::try_from(self.remaining).map_or(out.len(), |r| r.min(out.len()));
+            let (head, rest) = out.split_at_mut(n);
+            // The loops draw from a local copy of the generator so its
+            // state stays in registers; it is written back after.
+            let mut rng = self.rng.clone();
+            if self.in_burst {
+                for w in head.iter_mut() {
+                    *w = rng.random();
+                }
+            } else if self.housekeeping > 0.0 {
+                let (p, mut prev) = (self.housekeeping, self.prev);
+                for w in head.iter_mut() {
+                    if rng.random_bool(p) {
+                        prev = rng.random::<u32>() & 0x0000_00FF;
+                    }
+                    *w = prev;
+                }
+            } else {
+                head.fill(self.prev);
+            }
+            self.rng = rng;
+            self.prev = head[n - 1];
+            self.remaining -= n as u64;
+            out = rest;
+        }
+    }
 }
 
 /// The Fig. 9 worst victim/aggressor pattern, applied for a
@@ -178,6 +213,26 @@ impl TraceSource for AdversarialCrosstalk {
         };
         self.prev = word;
         word
+    }
+
+    /// A zero-aggression storm holds its word without drawing; any
+    /// other fills in one loop over local copies of the generator, the
+    /// phase and the held word, written back after.
+    fn fill_words(&mut self, out: &mut [u32]) {
+        if self.aggression <= 0.0 {
+            out.fill(self.prev);
+            return;
+        }
+        let (mut rng, p, mut phase, mut prev) =
+            (self.rng.clone(), self.aggression, self.phase, self.prev);
+        for w in out.iter_mut() {
+            if rng.random_bool(p) {
+                phase = !phase;
+                prev = if phase { 0xAAAA_AAAA } else { 0x5555_5555 };
+            }
+            *w = prev;
+        }
+        (self.rng, self.phase, self.prev) = (rng, phase, prev);
     }
 }
 

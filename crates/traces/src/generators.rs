@@ -215,6 +215,20 @@ impl TraceSource for ZeroBurstWords {
             0
         }
     }
+
+    /// The same draws as `next_word`, from a local copy of the
+    /// generator so its state stays in registers (written back after).
+    fn fill_words(&mut self, out: &mut [u32]) {
+        let (mut rng, p) = (self.rng.clone(), self.nonzero_probability);
+        for w in out.iter_mut() {
+            *w = if rng.random_bool(p) {
+                rng.random::<u32>() & 0x0000_FFFF
+            } else {
+                0
+            };
+        }
+        self.rng = rng;
+    }
 }
 
 #[cfg(test)]

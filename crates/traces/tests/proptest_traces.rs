@@ -4,11 +4,60 @@
 
 use proptest::prelude::*;
 use razorbus_traces::{
-    Benchmark, Mixture, MixtureWeights, TraceRecording, TraceSource, TraceStats,
+    AdversarialCrosstalk, Benchmark, BurstyDma, Mixture, MixtureWeights, RandomWords,
+    SmallIntWords, StrideWords, TraceRecording, TraceSource, TraceStats, ValueLocalityWords,
+    ZeroBurstWords,
 };
 
 fn benchmarks() -> impl Strategy<Value = Benchmark> {
     proptest::sample::select(Benchmark::ALL.to_vec())
+}
+
+/// `fill_words` lengths: empty and one-word fills, short fills, and
+/// long fills that straddle many phases of the short-phase DMA streams
+/// below.
+fn fill_schedule() -> impl Strategy<Value = Vec<usize>> {
+    proptest::collection::vec(
+        prop_oneof![Just(0usize), Just(1usize), 0usize..40, 0usize..2_000],
+        1..10,
+    )
+}
+
+/// Drives `bulk` through `schedule` — one `fill_words` of each length,
+/// each followed by one `next_word` — and asserts it emits exactly the
+/// words `oracle` gives one `next_word` at a time, then leaves both in
+/// the same state (their next words agree).
+fn assert_fill_matches<B: TraceSource, O: TraceSource>(
+    mut bulk: B,
+    oracle: &mut O,
+    schedule: &[usize],
+) {
+    for (i, &len) in schedule.iter().enumerate() {
+        let mut filled = vec![0u32; len];
+        bulk.fill_words(&mut filled);
+        let expected: Vec<u32> = (0..len).map(|_| oracle.next_word()).collect();
+        assert_eq!(filled, expected, "fill {i} of {len} words");
+        assert_eq!(bulk.next_word(), oracle.next_word(), "word after fill {i}");
+    }
+    let after: Vec<u32> = (0..64).map(|_| bulk.next_word()).collect();
+    let expected: Vec<u32> = (0..64).map(|_| oracle.next_word()).collect();
+    assert_eq!(after, expected, "state after the schedule");
+}
+
+/// [`assert_fill_matches`] on two fresh copies of one generator, with
+/// the bulk copy called directly (`via == 0`), through `&mut T`
+/// (`via == 1`) or through `Box<dyn TraceSource + Send>`.
+fn check_fill<G: TraceSource + Send>(make: impl Fn() -> G, schedule: &[usize], via: u8) {
+    let mut oracle = make();
+    let mut bulk = make();
+    match via {
+        0 => assert_fill_matches(bulk, &mut oracle, schedule),
+        1 => assert_fill_matches(&mut bulk, &mut oracle, schedule),
+        _ => {
+            let boxed: Box<dyn TraceSource + Send + '_> = Box::new(bulk);
+            assert_fill_matches(boxed, &mut oracle, schedule);
+        }
+    }
 }
 
 proptest! {
@@ -91,6 +140,35 @@ proptest! {
         prop_assert_eq!(spliced.len(), n + m);
         prop_assert_eq!(&spliced.words()[..n], first.words());
         prop_assert_eq!(&spliced.words()[n..], second.words());
+    }
+
+    /// `fill_words` ≡ repeated `next_word` for every generator in the
+    /// crate, interleaved with single-word calls, directly and through
+    /// both forwarding impls. The DMA streams use short phases so fills
+    /// straddle burst/idle boundaries.
+    #[test]
+    fn fill_words_matches_next_word(
+        seed in any::<u64>(),
+        schedule in fill_schedule(),
+        via in 0u8..3,
+        b in benchmarks(),
+    ) {
+        check_fill(|| RandomWords::new(seed), &schedule, via);
+        check_fill(|| SmallIntWords::new(seed, 12), &schedule, via);
+        check_fill(|| StrideWords::new(seed, 0.05), &schedule, via);
+        check_fill(|| ValueLocalityWords::new(seed, RandomWords::new(seed), 8, 0.6), &schedule, via);
+        check_fill(|| ZeroBurstWords::new(seed, 0.05), &schedule, via);
+        for housekeeping in [0.0, 0.1] {
+            check_fill(|| BurstyDma::new(seed, 20, 50, housekeeping), &schedule, via);
+        }
+        for aggression in [0.0, 0.3, 1.0] {
+            check_fill(|| AdversarialCrosstalk::new(seed, aggression), &schedule, via);
+        }
+        let weights = MixtureWeights::new(0.40, 0.28, 0.24, 0.05, 0.03);
+        check_fill(|| Mixture::new(seed, weights), &schedule, via);
+        check_fill(|| b.trace(seed), &schedule, via);
+        let recording = TraceRecording::capture(&mut b.trace(seed), 97);
+        check_fill(|| recording.replay(), &schedule, via);
     }
 
     /// Phase modulation only ever raises the high-entropy weight in hot

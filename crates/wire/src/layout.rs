@@ -131,6 +131,19 @@ impl BusLayout {
         self.n_bits
     }
 
+    /// Mask selecting the bus's signal bits of a 32-bit trace word: a
+    /// cycle toggles a wire exactly when `(prev ^ cur) & word_mask()`
+    /// is non-zero.
+    #[inline]
+    #[must_use]
+    pub fn word_mask(&self) -> u32 {
+        if self.n_bits == 32 {
+            u32::MAX
+        } else {
+            (1u32 << self.n_bits) - 1
+        }
+    }
+
     /// Signals per shield group.
     #[must_use]
     pub fn group_size(&self) -> usize {

@@ -38,16 +38,6 @@ impl CycleAnalysis {
     }
 }
 
-/// Word mask selecting the `n` bus bits of a 32-bit trace word.
-#[inline]
-fn word_mask(n: usize) -> u32 {
-    if n == 32 {
-        u32::MAX
-    } else {
-        (1u32 << n) - 1
-    }
-}
-
 /// Sentinel-coded neighbor for the hot classification loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Slot {
@@ -647,7 +637,7 @@ impl BusPhysical {
     /// property tests.
     #[must_use]
     pub fn analyze_cycle(&self, prev: u32, cur: u32) -> CycleAnalysis {
-        let toggled = (prev ^ cur) & word_mask(self.layout.n_bits());
+        let toggled = (prev ^ cur) & self.layout.word_mask();
         if toggled == 0 {
             return CycleAnalysis::default();
         }
@@ -749,7 +739,7 @@ impl BusPhysical {
     /// to it bitwise on every pattern.
     #[must_use]
     pub fn analyze_cycle_reference(&self, prev: u32, cur: u32) -> CycleAnalysis {
-        let toggled = (prev ^ cur) & word_mask(self.layout.n_bits());
+        let toggled = (prev ^ cur) & self.layout.word_mask();
         if toggled == 0 {
             return CycleAnalysis::default();
         }
@@ -818,7 +808,7 @@ impl BusPhysical {
     #[must_use]
     pub fn per_wire_effective_caps(&self, prev: u32, cur: u32) -> Vec<Option<Femtofarads>> {
         let n = self.layout.n_bits();
-        let toggled = (prev ^ cur) & word_mask(n);
+        let toggled = (prev ^ cur) & self.layout.word_mask();
         let cg = self.parasitics.cg_per_mm().ff();
         let cc = self.parasitics.cc_per_mm().ff();
         let cc2 = self.parasitics.cc2_per_mm().ff();
@@ -904,7 +894,7 @@ impl<'a> CycleAnalyzer<'a> {
     /// Classifies one bus cycle; see [`BusPhysical::analyze_cycle`].
     #[must_use]
     pub fn analyze(&mut self, prev: u32, cur: u32) -> CycleAnalysis {
-        if (prev ^ cur) & word_mask(self.bus.layout.n_bits()) == 0 {
+        if (prev ^ cur) & self.bus.layout.word_mask() == 0 {
             return CycleAnalysis::default();
         }
         let key = u64::from(prev) << 32 | u64::from(cur);
